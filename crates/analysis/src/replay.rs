@@ -89,14 +89,13 @@ pub fn defense_for(model: DefenseModel) -> Box<dyn Defense> {
     }
 }
 
-/// Deterministic pair generator for the refutation sweep (splitmix64;
-/// no process entropy so the committed golden report is reproducible).
+/// Deterministic pair generator for the refutation sweep: the
+/// splitmix64 sequence over `state` (no process entropy so the
+/// committed golden report is reproducible).
 fn splitmix64(state: &mut u64) -> u64 {
+    let z = unxpec_mem::seed::splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    z
 }
 
 /// One round's dynamic observation.

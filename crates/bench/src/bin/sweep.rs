@@ -18,9 +18,9 @@
 //! two-speed fast-forward path — it participates in every cell digest,
 //! so manifests and caches never mix modes. Per-trial seeds derive from the root seed and the trial's
 //! identity, so any `--jobs` value produces the same aggregates and
-//! the same aggregate digest. With `--manifest`, completed trials are
-//! checkpointed after each finish; rerunning the same spec against the
-//! same manifest skips them. `--deadline-ms` turns slow trials into
+//! the same aggregate digest. With `--manifest`, each finished trial
+//! appends one checksummed line to the manifest log; rerunning the
+//! same spec against the same manifest skips completed trials. `--deadline-ms` turns slow trials into
 //! typed timeouts, `--backoff-ms` paces panic retries,
 //! `--quarantine-after` benches keys that keep failing across resumes,
 //! and `--diagnostics-dir` writes one reproduction bundle per failing

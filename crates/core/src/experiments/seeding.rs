@@ -24,7 +24,7 @@
 //!
 //! [`AttackConfig::with_seed`]: unxpec_attack::AttackConfig::with_seed
 
-pub use unxpec_mem::seed::{fnv1a64, indexed, splitmix64, stream};
+pub use unxpec_mem::seed::{fnv1a64, indexed, splitmix64, stream, Fnv64};
 
 /// The workspace-wide default root seed (also
 /// [`AttackConfig`](unxpec_attack::AttackConfig)'s default).

@@ -24,7 +24,7 @@
 //! digest in `tests/service.rs` — if it ever moves without a
 //! deliberate version bump, that regression test fails.
 
-use unxpec::experiments::seeding::fnv1a64;
+use unxpec::experiments::seeding::{fnv1a64, Fnv64};
 
 use crate::spec::SweepSpec;
 
@@ -54,12 +54,7 @@ pub fn canonical_digest<'a>(fields: impl IntoIterator<Item = (&'a str, String)>)
         acc ^= fnv1a64(&format!("{name}={value}"));
         count += 1;
     }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in [acc, count] {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::new().mix(acc).mix(count).finish()
 }
 
 /// The stable content address of one trial cell: everything that

@@ -2,7 +2,7 @@
 //! input/output types shared with the manifest.
 
 use unxpec::cpu::ExecMode;
-use unxpec::experiments::seeding::fnv1a64;
+use unxpec::experiments::seeding::Fnv64;
 use unxpec::experiments::Scale;
 
 /// Everything a single trial receives: the derived seed, the scale,
@@ -75,18 +75,15 @@ impl TrialOutput {
 /// compare. The `truncated` flag is mixed in only when set, so every
 /// digest recorded before the flag existed is unchanged.
 pub fn output_digest(out: &TrialOutput) -> u64 {
-    let mut h = fnv1a64(&out.rendered);
+    let mut h = Fnv64::new();
+    h.mix_bytes(out.rendered.as_bytes());
     for (name, value) in &out.metrics {
-        h ^= fnv1a64(name);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        h ^= value.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.mix_str(name).mix(value.to_bits());
     }
     if out.truncated {
-        h ^= fnv1a64("truncated");
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.mix_str("truncated");
     }
-    h
+    h.finish()
 }
 
 /// One experiment the harness can run.

@@ -19,10 +19,11 @@
 //!   [`std::panic::catch_unwind`] with a bounded retry budget; a
 //!   panicking trial is reported as *poisoned* with its panic message
 //!   while the rest of the sweep completes.
-//! * **Checkpoint/resume** — completed trials are appended to a JSON
-//!   [`manifest`] (key, digest, rendered output, metrics) after each
-//!   trial; rerunning with the same spec skips them and splices their
-//!   recorded results back into the aggregates.
+//! * **Checkpoint/resume** — each finished trial appends one
+//!   checksummed line (key, digest, rendered output, metrics) to the
+//!   [`manifest`] log, a [`durable`] file; rerunning with the same spec
+//!   skips completed trials and splices their recorded results back
+//!   into the aggregates.
 //! * **Observability** — the pool emits one wall-clock [`Span`] per
 //!   trial attempt (one track per worker) for
 //!   [`unxpec_telemetry::spans_to_chrome_json`], plus queue-depth,
@@ -42,6 +43,7 @@
 //! [`Span`]: unxpec_telemetry::Span
 
 pub mod digest;
+pub mod durable;
 pub mod experiment;
 pub mod manifest;
 pub mod pool;
@@ -54,7 +56,10 @@ pub use digest::{
     canonical_digest, cell_digest, submission_digest, DIGEST_VERSION, SIMULATOR_VERSION,
 };
 pub use experiment::{output_digest, Experiment, FnExperiment, TrialCtx, TrialOutput};
-pub use manifest::{CompletedTrial, Manifest, PoisonedTrial, QuarantinedTrial, TimedOutTrial};
+pub use manifest::{
+    CompletedTrial, FailedTrial, Manifest, ManifestRecord, PoisonedTrial, QuarantinedTrial,
+    TimedOutTrial,
+};
 pub use pool::{
     default_jobs, run_tasks, run_tasks_with, PoolStats, RunPolicy, TaskEvent, TaskOutcome,
     TaskTiming,

@@ -1,33 +1,32 @@
-//! The checkpoint/resume manifest: a JSON record of every trial a
+//! The checkpoint/resume manifest: a [`durable`] log of every trial a
 //! sweep has finished (or poisoned, timed out, quarantined), keyed by
 //! trial identity.
 //!
-//! The sweep runner appends to the manifest after each trial and
-//! rewrites it atomically (temp file + rename), so a killed run leaves
-//! a loadable manifest behind. Version 2 documents additionally carry
-//! an FNV-1a *content checksum* over every recorded field, so a torn
-//! or bit-flipped file is detected on load rather than silently
-//! resuming from wrong data. When strict parsing fails,
-//! [`Manifest::load_lenient`] salvages what it can: the writer emits
-//! one record per line, so recovery walks the lines, keeps every entry
-//! that still parses, and reports what it dropped — a crash mid-write
-//! costs at most the trailing record, never the whole checkpoint.
+//! The log opens with a header record (spec digest, root seed); every
+//! other line is one [`ManifestRecord`] carrying its own checksum. The
+//! sweep runner appends one line per finished trial and ends with one
+//! atomic compaction ([`Manifest::save`]). Loading folds the log:
+//! when a key appears more than once, the last record for it wins, and
+//! a line whose checksum fails is dropped with a warning — never
+//! resumed.
 //!
-//! On resume, trials whose key appears in `completed` are spliced back
-//! into the report from their recorded rendered output and metrics —
-//! byte for byte what the original run produced, because trial seeds
-//! are identity-derived. A manifest is only valid for the spec that
+//! On resume, trials whose key is `completed` are spliced back into the
+//! report from their recorded rendered output and metrics — byte for
+//! byte what the original run produced, because trial seeds are
+//! identity-derived. A manifest is only valid for the spec that
 //! produced it: [`Manifest::spec_digest`] must match
-//! [`SweepSpec::digest`](crate::SweepSpec::digest).
-//!
-//! 64-bit digests are serialized as `0x`-prefixed hex strings because
-//! the JSON layer keeps numbers as `f64` (exact only to 2^53).
+//! [`SweepSpec::digest`](crate::SweepSpec::digest). Pre-log manifests
+//! (format versions 1 and 2, one whole JSON document) are refused with
+//! an error that says to delete them.
 
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
-use unxpec::experiments::seeding::fnv1a64;
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec::experiments::seeding::Fnv64;
+use unxpec_telemetry::json::{escape, Value};
 
+use crate::durable::{self, field, hex, parse_hex, Record};
 use crate::experiment::TrialOutput;
 
 /// A finished trial's record.
@@ -43,12 +42,14 @@ pub struct CompletedTrial {
     pub output: TrialOutput,
 }
 
-/// A trial that exhausted its retry budget.
+/// A trial that failed in one run: it exhausted its retry budget
+/// ([`PoisonedTrial`]) or blew the per-trial wall-clock deadline
+/// ([`TimedOutTrial`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PoisonedTrial {
+pub struct FailedTrial {
     /// Trial identity.
     pub key: String,
-    /// The final panic message.
+    /// The final panic message, or what the deadline check observed.
     pub error: String,
     /// Attempts made.
     pub attempts: u32,
@@ -56,18 +57,11 @@ pub struct PoisonedTrial {
     pub failures: u32,
 }
 
+/// A trial that exhausted its retry budget.
+pub type PoisonedTrial = FailedTrial;
+
 /// A trial that blew the per-trial wall-clock deadline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimedOutTrial {
-    /// Trial identity.
-    pub key: String,
-    /// What the deadline check observed.
-    pub error: String,
-    /// Attempts made before the deadline expired.
-    pub attempts: u32,
-    /// Runs (including resumed ones) in which this key has failed.
-    pub failures: u32,
-}
+pub type TimedOutTrial = FailedTrial;
 
 /// A trial cell failed often enough that resumed runs skip it.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +74,159 @@ pub struct QuarantinedTrial {
     pub failures: u32,
 }
 
-/// The on-disk checkpoint state of one sweep.
+/// One line of the manifest log.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ManifestRecord {
+    /// The log's first line: which spec the log belongs to.
+    Header {
+        /// Digest of the owning spec's canonical string.
+        spec_digest: u64,
+        /// The spec's root seed.
+        root_seed: u64,
+    },
+    /// A trial completed.
+    Completed(CompletedTrial),
+    /// A trial exhausted its retries.
+    Poisoned(PoisonedTrial),
+    /// A trial blew its deadline.
+    TimedOut(TimedOutTrial),
+    /// A trial cell is quarantined.
+    Quarantined(QuarantinedTrial),
+}
+
+impl ManifestRecord {
+    fn type_tag(&self) -> &'static str {
+        match self {
+            ManifestRecord::Header { .. } => "header",
+            ManifestRecord::Completed(_) => "completed",
+            ManifestRecord::Poisoned(_) => "poisoned",
+            ManifestRecord::TimedOut(_) => "timed_out",
+            ManifestRecord::Quarantined(_) => "quarantined",
+        }
+    }
+
+    /// The trial key the record is about; `None` for the header.
+    fn key(&self) -> Option<&str> {
+        match self {
+            ManifestRecord::Header { .. } => None,
+            ManifestRecord::Completed(t) => Some(&t.key),
+            ManifestRecord::Poisoned(t) | ManifestRecord::TimedOut(t) => Some(&t.key),
+            ManifestRecord::Quarantined(t) => Some(&t.key),
+        }
+    }
+}
+
+impl Record for ManifestRecord {
+    /// Versions 1 and 2 were whole-document formats.
+    const VERSION: u64 = 3;
+
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.mix(Self::VERSION).mix_str(self.type_tag());
+        match self {
+            ManifestRecord::Header {
+                spec_digest,
+                root_seed,
+            } => {
+                h.mix(*spec_digest).mix(*root_seed);
+            }
+            ManifestRecord::Completed(t) => {
+                h.mix_str(&t.key).mix(t.digest).mix(u64::from(t.attempts));
+                durable::mix_output(&mut h, &t.output);
+            }
+            ManifestRecord::Poisoned(t) | ManifestRecord::TimedOut(t) => {
+                h.mix_str(&t.key)
+                    .mix_str(&t.error)
+                    .mix(u64::from(t.attempts))
+                    .mix(u64::from(t.failures));
+            }
+            ManifestRecord::Quarantined(t) => {
+                h.mix_str(&t.key)
+                    .mix_str(&t.error)
+                    .mix(u64::from(t.failures));
+            }
+        }
+        h.finish()
+    }
+
+    fn render_members(&self, out: &mut String) -> fmt::Result {
+        write!(out, "\"type\": \"{}\", ", self.type_tag())?;
+        match self {
+            ManifestRecord::Header {
+                spec_digest,
+                root_seed,
+            } => write!(
+                out,
+                "\"spec_digest\": \"{}\", \"root_seed\": \"{}\"",
+                hex(*spec_digest),
+                hex(*root_seed)
+            ),
+            ManifestRecord::Completed(t) => {
+                write!(
+                    out,
+                    "\"key\": \"{}\", \"digest\": \"{}\", \"attempts\": {}, ",
+                    escape(&t.key),
+                    hex(t.digest),
+                    t.attempts
+                )?;
+                durable::render_output(&t.output, out)
+            }
+            ManifestRecord::Poisoned(t) | ManifestRecord::TimedOut(t) => write!(
+                out,
+                "\"key\": \"{}\", \"error\": \"{}\", \"attempts\": {}, \"failures\": {}",
+                escape(&t.key),
+                escape(&t.error),
+                t.attempts,
+                t.failures
+            ),
+            ManifestRecord::Quarantined(t) => write!(
+                out,
+                "\"key\": \"{}\", \"error\": \"{}\", \"failures\": {}",
+                escape(&t.key),
+                escape(&t.error),
+                t.failures
+            ),
+        }
+    }
+
+    fn from_doc(doc: &Value) -> Result<Self, String> {
+        let text = |name| field(doc, name, Value::as_str).map(str::to_string);
+        let count = |name| field(doc, name, |v| u32::try_from(v.as_u64()?).ok());
+        let word = |name| field(doc, name, parse_hex);
+        Ok(match text("type")?.as_str() {
+            "header" => ManifestRecord::Header {
+                spec_digest: word("spec_digest")?,
+                root_seed: word("root_seed")?,
+            },
+            "completed" => ManifestRecord::Completed(CompletedTrial {
+                key: text("key")?,
+                digest: word("digest")?,
+                attempts: count("attempts")?,
+                output: durable::parse_output(doc)?,
+            }),
+            tag @ ("poisoned" | "timed_out") => {
+                let t = FailedTrial {
+                    key: text("key")?,
+                    error: text("error")?,
+                    attempts: count("attempts")?,
+                    failures: count("failures")?,
+                };
+                match tag {
+                    "poisoned" => ManifestRecord::Poisoned(t),
+                    _ => ManifestRecord::TimedOut(t),
+                }
+            }
+            "quarantined" => ManifestRecord::Quarantined(QuarantinedTrial {
+                key: text("key")?,
+                error: text("error")?,
+                failures: count("failures")?,
+            }),
+            other => return Err(format!("unknown record type {other:?}")),
+        })
+    }
+}
+
+/// The checkpoint state of one sweep: the folded manifest log.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Manifest {
     /// Digest of the owning spec's canonical string.
@@ -88,102 +234,14 @@ pub struct Manifest {
     /// The spec's root seed (informational; identity lives in the
     /// digest).
     pub root_seed: u64,
-    /// Completed trials in completion order.
+    /// Completed trials.
     pub completed: Vec<CompletedTrial>,
-    /// Poisoned trials in completion order.
+    /// Poisoned trials.
     pub poisoned: Vec<PoisonedTrial>,
-    /// Deadline-exceeded trials in completion order.
+    /// Deadline-exceeded trials.
     pub timed_out: Vec<TimedOutTrial>,
     /// Quarantined trial cells (skipped on resume).
     pub quarantined: Vec<QuarantinedTrial>,
-}
-
-fn hex(v: u64) -> String {
-    format!("{v:#x}")
-}
-
-fn parse_hex(v: &Value) -> Result<u64, String> {
-    let s = v.as_str().ok_or("digest must be a hex string")?;
-    let raw = s
-        .strip_prefix("0x")
-        .ok_or_else(|| format!("digest {s:?} missing 0x prefix"))?;
-    u64::from_str_radix(raw, 16).map_err(|e| format!("digest {s:?}: {e}"))
-}
-
-fn field_str(item: &Value, name: &str, what: &str) -> Result<String, String> {
-    item.get(name)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what} entry missing {name}"))
-}
-
-fn field_u32(item: &Value, name: &str, what: &str) -> Result<u32, String> {
-    item.get(name)
-        .and_then(Value::as_u64)
-        .map(|v| v as u32)
-        .ok_or_else(|| format!("{what} entry missing {name}"))
-}
-
-/// `failures` was introduced in version 2; older records count as one
-/// failing run.
-fn field_failures(item: &Value) -> u32 {
-    item.get("failures")
-        .and_then(Value::as_u64)
-        .map_or(1, |v| v as u32)
-}
-
-fn completed_from(item: &Value) -> Result<CompletedTrial, String> {
-    let key = field_str(item, "key", "completed")?;
-    let digest = parse_hex(item.get("digest").ok_or("completed entry missing digest")?)?;
-    let attempts = field_u32(item, "attempts", "completed")?;
-    let mut metrics = Vec::new();
-    match item.get("metrics") {
-        Some(Value::Obj(members)) => {
-            for (name, value) in members {
-                let v = value
-                    .as_f64()
-                    .ok_or_else(|| format!("metric {name:?} is not a number"))?;
-                metrics.push((name.clone(), v));
-            }
-        }
-        _ => return Err(format!("completed entry {key:?} missing metrics{{}}")),
-    }
-    let rendered = field_str(item, "rendered", "completed")?;
-    let truncated = matches!(item.get("truncated"), Some(Value::Bool(true)));
-    let mut output = TrialOutput::new(rendered, vec![]).with_truncated(truncated);
-    output.metrics = metrics;
-    Ok(CompletedTrial {
-        key,
-        digest,
-        attempts,
-        output,
-    })
-}
-
-fn poisoned_from(item: &Value) -> Result<PoisonedTrial, String> {
-    Ok(PoisonedTrial {
-        key: field_str(item, "key", "poisoned")?,
-        error: field_str(item, "error", "poisoned")?,
-        attempts: field_u32(item, "attempts", "poisoned")?,
-        failures: field_failures(item),
-    })
-}
-
-fn timed_out_from(item: &Value) -> Result<TimedOutTrial, String> {
-    Ok(TimedOutTrial {
-        key: field_str(item, "key", "timed_out")?,
-        error: field_str(item, "error", "timed_out")?,
-        attempts: field_u32(item, "attempts", "timed_out")?,
-        failures: field_failures(item),
-    })
-}
-
-fn quarantined_from(item: &Value) -> Result<QuarantinedTrial, String> {
-    Ok(QuarantinedTrial {
-        key: field_str(item, "key", "quarantined")?,
-        error: field_str(item, "error", "quarantined")?,
-        failures: field_failures(item),
-    })
 }
 
 impl Manifest {
@@ -196,335 +254,127 @@ impl Manifest {
         }
     }
 
-    /// FNV-1a chain over every recorded field — the content checksum a
-    /// version-2 document carries, recomputed and compared on parse.
-    pub fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    /// The compacted log: the header, then one line per key.
+    pub fn to_log(&self) -> String {
+        let header = ManifestRecord::Header {
+            spec_digest: self.spec_digest,
+            root_seed: self.root_seed,
         };
-        mix(self.spec_digest);
-        mix(self.root_seed);
-        mix(fnv1a64("completed"));
-        mix(self.completed.len() as u64);
-        for t in &self.completed {
-            mix(fnv1a64(&t.key));
-            mix(t.digest);
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.output.truncated));
-            mix(fnv1a64(&t.output.rendered));
-            for (name, value) in &t.output.metrics {
-                mix(fnv1a64(name));
-                mix(value.to_bits());
-            }
-        }
-        mix(fnv1a64("poisoned"));
-        mix(self.poisoned.len() as u64);
-        for t in &self.poisoned {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.failures));
-        }
-        mix(fnv1a64("timed_out"));
-        mix(self.timed_out.len() as u64);
-        for t in &self.timed_out {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.attempts));
-            mix(u64::from(t.failures));
-        }
-        mix(fnv1a64("quarantined"));
-        mix(self.quarantined.len() as u64);
-        for t in &self.quarantined {
-            mix(fnv1a64(&t.key));
-            mix(fnv1a64(&t.error));
-            mix(u64::from(t.failures));
-        }
-        h
+        std::iter::once(header)
+            .chain(
+                self.completed
+                    .iter()
+                    .cloned()
+                    .map(ManifestRecord::Completed),
+            )
+            .chain(self.poisoned.iter().cloned().map(ManifestRecord::Poisoned))
+            .chain(self.timed_out.iter().cloned().map(ManifestRecord::TimedOut))
+            .chain(
+                self.quarantined
+                    .iter()
+                    .cloned()
+                    .map(ManifestRecord::Quarantined),
+            )
+            .map(|r| durable::render(&r))
+            .collect()
     }
 
-    /// Serializes the manifest as JSON (version 2, one record per line
-    /// so [`Manifest::load_lenient`] can salvage a torn file).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 2,\n");
-        out.push_str(&format!("  \"checksum\": \"{}\",\n", hex(self.checksum())));
-        out.push_str(&format!(
-            "  \"spec_digest\": \"{}\",\n  \"root_seed\": {},\n",
-            hex(self.spec_digest),
-            self.root_seed
-        ));
-        out.push_str("  \"completed\": [");
-        for (i, t) in self.completed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"digest\": \"{}\", \"attempts\": {}, ",
-                escape(&t.key),
-                hex(t.digest),
-                t.attempts
-            ));
-            if t.output.truncated {
-                out.push_str("\"truncated\": true, ");
-            }
-            out.push_str("\"metrics\": {");
-            for (j, (name, value)) in t.output.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
+    /// Folds a manifest log leniently. Every line that validates is
+    /// kept — the last record for a key wins, in the position where
+    /// the key first appeared — and the rest are counted as dropped.
+    /// A log without a valid header is an error, and so is a pre-log
+    /// (version 1 or 2) document.
+    pub fn salvage(text: &str) -> Result<(Self, u64), String> {
+        let salvaged = durable::salvage::<ManifestRecord>(text);
+        let mut header = None;
+        let mut latest: Vec<ManifestRecord> = Vec::new();
+        let mut slot: HashMap<String, usize> = HashMap::new();
+        for record in salvaged.records {
+            let Some(key) = record.key() else {
+                header = Some(record);
+                continue;
+            };
+            match slot.get(key) {
+                Some(&i) => latest[i] = record,
+                None => {
+                    slot.insert(key.to_string(), latest.len());
+                    latest.push(record);
                 }
-                out.push_str(&format!("\"{}\": {}", escape(name), value));
             }
-            out.push_str(&format!(
-                "}}, \"rendered\": \"{}\"}}",
-                escape(&t.output.rendered)
-            ));
         }
-        out.push_str("\n  ],\n  \"poisoned\": [");
-        for (i, t) in self.poisoned.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"attempts\": {}, \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.attempts,
-                t.failures
-            ));
-        }
-        out.push_str("\n  ],\n  \"timed_out\": [");
-        for (i, t) in self.timed_out.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"attempts\": {}, \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.attempts,
-                t.failures
-            ));
-        }
-        out.push_str("\n  ],\n  \"quarantined\": [");
-        for (i, t) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"key\": \"{}\", \"error\": \"{}\", \"failures\": {}}}",
-                escape(&t.key),
-                escape(&t.error),
-                t.failures
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parses a manifest document. Accepts version 1 (no checksum, no
-    /// timed-out/quarantined sections) and version 2 (checksum
-    /// verified against the recorded fields).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text)?;
-        let version = doc
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or("manifest missing version")?;
-        if version != 1 && version != 2 {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let spec_digest = parse_hex(doc.get("spec_digest").ok_or("missing spec_digest")?)?;
-        let root_seed = doc
-            .get("root_seed")
-            .and_then(Value::as_u64)
-            .ok_or("manifest missing root_seed")?;
+        let Some(ManifestRecord::Header {
+            spec_digest,
+            root_seed,
+        }) = header
+        else {
+            // Pre-log manifests carry a top-level `"version"` member on
+            // their first or second line; log records carry `"v"`.
+            let reason = if text.lines().take(2).any(|l| l.contains("\"version\"")) {
+                "pre-log manifest (format version 1 or 2), which this build no longer reads"
+            } else {
+                "no valid header record"
+            };
+            return Err(format!("{reason}; delete it to start a fresh checkpoint"));
+        };
         let mut manifest = Manifest::new(spec_digest, root_seed);
-        for item in doc
-            .get("completed")
-            .and_then(Value::as_arr)
-            .ok_or("manifest missing completed[]")?
-        {
-            manifest.completed.push(completed_from(item)?);
-        }
-        for item in doc
-            .get("poisoned")
-            .and_then(Value::as_arr)
-            .ok_or("manifest missing poisoned[]")?
-        {
-            manifest.poisoned.push(poisoned_from(item)?);
-        }
-        if version >= 2 {
-            for item in doc
-                .get("timed_out")
-                .and_then(Value::as_arr)
-                .ok_or("manifest missing timed_out[]")?
-            {
-                manifest.timed_out.push(timed_out_from(item)?);
-            }
-            for item in doc
-                .get("quarantined")
-                .and_then(Value::as_arr)
-                .ok_or("manifest missing quarantined[]")?
-            {
-                manifest.quarantined.push(quarantined_from(item)?);
-            }
-            let recorded = parse_hex(doc.get("checksum").ok_or("manifest missing checksum")?)?;
-            let computed = manifest.checksum();
-            if recorded != computed {
-                return Err(format!(
-                    "checksum mismatch: recorded {}, computed {} — manifest is corrupt",
-                    hex(recorded),
-                    hex(computed)
-                ));
+        for record in latest {
+            match record {
+                ManifestRecord::Header { .. } => {}
+                ManifestRecord::Completed(t) => manifest.completed.push(t),
+                ManifestRecord::Poisoned(t) => manifest.poisoned.push(t),
+                ManifestRecord::TimedOut(t) => manifest.timed_out.push(t),
+                ManifestRecord::Quarantined(t) => manifest.quarantined.push(t),
             }
         }
-        Ok(manifest)
+        Ok((manifest, salvaged.dropped))
     }
 
-    /// Loads a manifest from `path`, strictly.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Manifest::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))
-    }
-
-    /// Loads a manifest, recovering from corruption where possible.
-    ///
-    /// A clean document parses strictly and returns `(manifest, None)`.
-    /// A truncated or corrupt one goes through line-oriented salvage:
-    /// the writer emits one record per line, so every line that still
-    /// parses is kept and everything else is dropped, with a warning
-    /// describing the damage. Only an unreadable file or an
-    /// unrecoverable header (no spec digest) remains an error.
+    /// Loads a manifest leniently: returns it with a warning when
+    /// damaged lines were dropped. Only an unreadable file, a missing
+    /// header or a pre-log document is an error.
     pub fn load_lenient(path: &Path) -> Result<(Self, Option<String>), String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        match Manifest::parse(&text) {
-            Ok(m) => Ok((m, None)),
-            Err(err) => {
-                let (manifest, salvaged, dropped) = Manifest::recover(&text)
-                    .map_err(|e| format!("recover {}: {e} (after: {err})", path.display()))?;
-                Ok((
-                    manifest,
-                    Some(format!(
-                        "manifest {} was corrupt ({err}); recovered {salvaged} record(s), \
-                         dropped {dropped} damaged line(s)",
-                        path.display()
-                    )),
-                ))
-            }
+        let text = durable::read(path)?;
+        let (manifest, dropped) =
+            Manifest::salvage(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let recovered = manifest.completed.len()
+            + manifest.poisoned.len()
+            + manifest.timed_out.len()
+            + manifest.quarantined.len();
+        let warning = (dropped > 0).then(|| {
+            format!(
+                "manifest {} was damaged; recovered {recovered} record(s), \
+                 dropped {dropped} damaged line(s)",
+                path.display()
+            )
+        });
+        Ok((manifest, warning))
+    }
+
+    /// Loads a manifest strictly: any damaged line is an error.
+    pub fn load(path: &Path) -> Result<Self, String> {
+        match Manifest::load_lenient(path)? {
+            (manifest, None) => Ok(manifest),
+            (_, Some(warning)) => Err(warning),
         }
     }
 
-    /// Line-oriented salvage of a damaged document. Returns the
-    /// recovered manifest plus (salvaged, dropped) record counts.
-    fn recover(text: &str) -> Result<(Self, usize, usize), String> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Section {
-            None,
-            Completed,
-            Poisoned,
-            TimedOut,
-            Quarantined,
-        }
-        let mut spec_digest = None;
-        let mut root_seed = 0u64;
-        let mut manifest = Manifest::default();
-        let mut section = Section::None;
-        let mut salvaged = 0usize;
-        let mut dropped = 0usize;
-        // Parse a single `"name": value` line as a one-member object.
-        let header_value = |line: &str| -> Option<Value> {
-            let body = line.trim().trim_end_matches(',');
-            json::parse(&format!("{{{body}}}")).ok()
-        };
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.contains("\"spec_digest\"") && spec_digest.is_none() {
-                if let Some(v) = header_value(raw) {
-                    if let Some(d) = v.get("spec_digest").and_then(|d| parse_hex(d).ok()) {
-                        spec_digest = Some(d);
-                        continue;
-                    }
-                }
-            }
-            if line.contains("\"root_seed\"") && section == Section::None {
-                if let Some(v) = header_value(raw) {
-                    if let Some(s) = v.get("root_seed").and_then(Value::as_u64) {
-                        root_seed = s;
-                        continue;
-                    }
-                }
-            }
-            if line.starts_with("\"completed\"") {
-                section = Section::Completed;
-                continue;
-            }
-            if line.starts_with("\"poisoned\"") {
-                section = Section::Poisoned;
-                continue;
-            }
-            if line.starts_with("\"timed_out\"") {
-                section = Section::TimedOut;
-                continue;
-            }
-            if line.starts_with("\"quarantined\"") {
-                section = Section::Quarantined;
-                continue;
-            }
-            if !line.starts_with('{') || section == Section::None {
-                continue;
-            }
-            let entry = line.trim_end_matches(',');
-            let parsed = json::parse(entry).ok().and_then(|item| match section {
-                Section::Completed => completed_from(&item)
-                    .ok()
-                    .map(|t| manifest.completed.push(t)),
-                Section::Poisoned => poisoned_from(&item).ok().map(|t| manifest.poisoned.push(t)),
-                Section::TimedOut => timed_out_from(&item)
-                    .ok()
-                    .map(|t| manifest.timed_out.push(t)),
-                Section::Quarantined => quarantined_from(&item)
-                    .ok()
-                    .map(|t| manifest.quarantined.push(t)),
-                Section::None => None,
-            });
-            match parsed {
-                Some(()) => salvaged += 1,
-                None => dropped += 1,
-            }
-        }
-        let spec_digest = spec_digest.ok_or("spec_digest unrecoverable")?;
-        manifest.spec_digest = spec_digest;
-        manifest.root_seed = root_seed;
-        Ok((manifest, salvaged, dropped))
-    }
-
-    /// Writes the manifest atomically: temp file in the same
-    /// directory, then rename over `path`. The document carries the
-    /// content checksum, so a torn write is detectable on load.
+    /// Compacts the manifest to `path` atomically.
     pub fn save(&self, path: &Path) -> Result<(), String> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        durable::replace(path, &self.to_log())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::Log;
 
     fn sample() -> Manifest {
         let mut output = TrialOutput::new("line1\nline2 \"quoted\"".to_string(), vec![]);
         output.metrics = vec![("diff".into(), 22.5), ("neg".into(), -0.125)];
         Manifest {
             spec_digest: 0xdead_beef_0bad_cafe,
-            root_seed: 0x5eed,
+            root_seed: u64::MAX,
             completed: vec![CompletedTrial {
                 key: "rollback/es/s0".into(),
                 digest: u64::MAX,
@@ -551,133 +401,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_round_trips_exactly() {
-        let m = sample();
-        let text = m.to_json();
-        json::validate(&text).expect("manifest JSON validates");
-        let back = Manifest::parse(&text).expect("manifest parses");
-        assert_eq!(back, m);
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("unxpec-manifest-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir.join("manifest.json")
     }
 
     #[test]
-    fn truncated_flag_round_trips() {
+    fn the_log_round_trips_exactly_and_full_range_digests_survive() {
         let mut m = sample();
         m.completed[0].output.truncated = true;
-        let text = m.to_json();
+        let text = m.to_log();
+        assert_eq!(text.lines().count(), 5, "header plus one line per key");
         assert!(text.contains("\"truncated\": true"));
-        assert_eq!(Manifest::parse(&text).expect("parses"), m);
-    }
-
-    #[test]
-    fn digests_survive_full_u64_range() {
-        let mut m = sample();
-        m.spec_digest = u64::MAX;
-        let back = Manifest::parse(&m.to_json()).unwrap();
-        assert_eq!(back.spec_digest, u64::MAX);
-        assert_eq!(back.completed[0].digest, u64::MAX);
+        for line in text.lines() {
+            unxpec_telemetry::json::validate(line).expect("each line is JSON");
+            assert!(line.ends_with("\"}"), "checksum is the last member: {line}");
+        }
+        assert_eq!(Manifest::salvage(&text), Ok((m, 0)));
     }
 
     #[test]
     fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
+        let path = temp_path("save");
         let m = sample();
         m.save(&path).unwrap();
         assert_eq!(Manifest::load(&path).unwrap(), m);
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(Manifest::load_lenient(&path).unwrap(), (m, None));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
-    fn garbage_is_rejected_with_a_message() {
-        assert!(Manifest::parse("{}").is_err());
-        assert!(Manifest::parse("not json").is_err());
-        let wrong_version = "{\"version\": 9, \"spec_digest\": \"0x1\", \"root_seed\": 0, \"completed\": [], \"poisoned\": []}";
-        assert!(Manifest::parse(wrong_version)
-            .unwrap_err()
-            .contains("version"));
-    }
-
-    #[test]
-    fn version_1_documents_still_load() {
-        let v1 = concat!(
-            "{\"version\": 1, \"spec_digest\": \"0xabc\", \"root_seed\": 7,\n",
-            " \"completed\": [{\"key\": \"a/x/s0\", \"digest\": \"0x1\", \"attempts\": 1,",
-            " \"metrics\": {\"m\": 2}, \"rendered\": \"ok\"}],\n",
-            " \"poisoned\": [{\"key\": \"a/x/s1\", \"error\": \"boom\", \"attempts\": 2}]}"
-        );
-        let m = Manifest::parse(v1).expect("v1 parses");
-        assert_eq!(m.spec_digest, 0xabc);
-        assert_eq!(m.completed.len(), 1);
-        assert!(!m.completed[0].output.truncated);
-        assert_eq!(
-            m.poisoned[0].failures, 1,
-            "legacy records count one failure"
-        );
-        assert!(m.timed_out.is_empty());
-    }
-
-    #[test]
-    fn a_flipped_bit_fails_the_checksum() {
-        let text = sample().to_json();
-        let tampered = text.replacen("\"attempts\": 2", "\"attempts\": 9", 1);
-        assert_ne!(text, tampered, "tamper target must exist");
-        let err = Manifest::parse(&tampered).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-    }
-
-    #[test]
-    fn a_truncated_manifest_recovers_to_the_last_good_entry() {
-        let mut m = sample();
-        let mut second = TrialOutput::new("fine".to_string(), vec![]);
-        second.metrics = vec![("m".into(), 1.0)];
-        m.completed.push(CompletedTrial {
-            key: "rollback/es/s1".into(),
-            digest: 42,
-            attempts: 1,
-            output: second,
-        });
-        let text = m.to_json();
-        // Cut the file mid-way through the second completed record, as
-        // a crash during a non-atomic write would.
-        let cut = text.find("rollback/es/s1").unwrap() + 20;
-        let torn = &text[..cut];
-        assert!(Manifest::parse(torn).is_err(), "torn file must not parse");
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-recover");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        std::fs::write(&path, torn).unwrap();
-        let (recovered, warning) = Manifest::load_lenient(&path).unwrap();
-        let warning = warning.expect("recovery must warn");
-        assert!(warning.contains("recovered"), "{warning}");
-        assert_eq!(recovered.spec_digest, m.spec_digest);
-        assert_eq!(recovered.root_seed, m.root_seed);
-        assert_eq!(recovered.completed.len(), 1, "first record survives");
-        assert_eq!(recovered.completed[0], m.completed[0]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_clean_manifest_loads_leniently_without_warning() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-clean");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
+    fn the_last_record_for_a_key_wins() {
+        let path = temp_path("last-wins");
         let m = sample();
         m.save(&path).unwrap();
-        let (loaded, warning) = Manifest::load_lenient(&path).unwrap();
-        assert_eq!(loaded, m);
-        assert!(warning.is_none());
-        std::fs::remove_dir_all(&dir).ok();
+        let mut log = Log::append_to(&path).unwrap();
+        let mut again = m.poisoned[0].clone();
+        again.failures = 5;
+        log.append(&ManifestRecord::Poisoned(again.clone()))
+            .unwrap();
+        let done = CompletedTrial {
+            key: "leakage/es/s0".into(),
+            digest: 7,
+            attempts: 1,
+            output: TrialOutput::new("ok".into(), vec![("m", 1.0)]),
+        };
+        log.append(&ManifestRecord::Completed(done.clone()))
+            .unwrap();
+        let loaded = Manifest::load(&path).unwrap();
+        assert_eq!(loaded.poisoned, vec![again], "later failure count wins");
+        assert_eq!(loaded.completed, vec![m.completed[0].clone(), done]);
+        assert!(
+            loaded.timed_out.is_empty(),
+            "completion supersedes the timeout"
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
-    fn pure_garbage_is_unrecoverable() {
-        let dir = std::env::temp_dir().join("unxpec-harness-manifest-garbage");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        std::fs::write(&path, "\x00\x01 nothing json-like here").unwrap();
-        assert!(Manifest::load_lenient(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+    fn a_changed_field_drops_only_its_own_line() {
+        let text = sample().to_log();
+        let tampered = text.replacen("\"attempts\": 2", "\"attempts\": 9", 1);
+        assert_ne!(text, tampered, "tamper target must exist");
+        let (m, dropped) = Manifest::salvage(&tampered).unwrap();
+        assert_eq!(dropped, 1);
+        assert!(m.completed.is_empty(), "the tampered record is not resumed");
+        assert_eq!(m.poisoned, sample().poisoned);
+    }
+
+    #[test]
+    fn a_torn_tail_warns_and_keeps_the_intact_records() {
+        let path = temp_path("torn");
+        let text = sample().to_log();
+        let cut = text.find("timed_out").unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let (m, warning) = Manifest::load_lenient(&path).unwrap();
+        let warning = warning.expect("recovery must warn");
+        assert!(warning.contains("recovered 2 record(s)"), "{warning}");
+        assert_eq!(m.completed, sample().completed);
+        assert_eq!(m.poisoned, sample().poisoned);
+        assert!(Manifest::load(&path).is_err(), "strict load refuses damage");
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn pre_log_manifests_are_refused_with_a_delete_hint() {
+        for legacy in [
+            "{\n  \"version\": 2,\n  \"checksum\": \"0x1\",\n  \"spec_digest\": \"0xabc\",\n",
+            "{\"version\": 1, \"spec_digest\": \"0xabc\", \"root_seed\": 7, \"completed\": []}",
+        ] {
+            let err = Manifest::salvage(legacy).unwrap_err();
+            assert!(err.contains("pre-log") && err.contains("delete"), "{err}");
+        }
+    }
+
+    #[test]
+    fn garbage_without_a_header_is_an_error() {
+        let err = Manifest::salvage("\x00\x01 nothing json-like here").unwrap_err();
+        assert!(err.contains("no valid header"), "{err}");
+        assert!(Manifest::salvage("").is_err());
     }
 }

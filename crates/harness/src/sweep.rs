@@ -4,7 +4,7 @@
 //! [`run_sweep`] is the one entry point. It expands a [`SweepSpec`]
 //! into trials, drops any trial already recorded in the manifest (when
 //! resuming), runs the rest on the work-stealing pool with panic
-//! containment, checkpoints the manifest after every completion, and
+//! containment, appends one manifest line per completion, and
 //! finally aggregates each metric across the seed axis with
 //! [`unxpec_stats::Summary`] — in *enumeration* order, which is what
 //! makes the aggregates (and [`SweepReport::aggregate_digest`])
@@ -14,13 +14,18 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use unxpec::experiments::seeding::Fnv64;
 use unxpec_stats::Summary;
 use unxpec_telemetry::{
     json::escape, spans_to_chrome_json, MetricsHub, MetricsRegistry, Span, SpanNode,
 };
 
+use crate::durable::Log;
 use crate::experiment::{output_digest, TrialOutput};
-use crate::manifest::{CompletedTrial, Manifest, PoisonedTrial, QuarantinedTrial, TimedOutTrial};
+use crate::manifest::{
+    CompletedTrial, FailedTrial, Manifest, ManifestRecord, PoisonedTrial, QuarantinedTrial,
+    TimedOutTrial,
+};
 use crate::pool::{run_tasks_with, PoolStats, RunPolicy, TaskEvent, TaskOutcome};
 use crate::profiler::SelfProfiler;
 use crate::registry::Registry;
@@ -181,10 +186,12 @@ pub fn run_sweep(
     let mut warnings = Vec::new();
 
     // Resume: load the manifest if present and splice out done trials.
-    // The load is lenient — a torn or corrupt checkpoint is salvaged
-    // to its last good record with a warning instead of failing the
-    // whole sweep.
+    // The load is lenient — a torn or corrupt line is dropped with a
+    // warning instead of failing the whole sweep. The loaded log is
+    // compacted straight away, so a torn tail never prefixes the lines
+    // this run appends.
     let mut manifest = Manifest::new(spec_digest, spec.root_seed);
+    let mut log = None;
     if let Some(path) = &opts.manifest {
         if path.exists() {
             let (loaded, warning) = Manifest::load_lenient(path).map_err(SweepError::Manifest)?;
@@ -197,29 +204,31 @@ pub fn run_sweep(
             warnings.extend(warning);
             manifest = loaded;
         }
+        manifest.save(path).map_err(SweepError::Manifest)?;
+        log = Some(Mutex::new(
+            Log::append_to(path).map_err(SweepError::Manifest)?,
+        ));
     }
     // Failure history drives quarantine: keys that failed (poisoned or
     // timed out) in `failures` prior runs, plus keys already
-    // quarantined. Retryable failure records are then cleared — a
-    // resumed run retries them unless quarantined.
-    let mut prior_failures: std::collections::HashMap<String, (u32, String)> = Default::default();
-    for p in &manifest.poisoned {
-        prior_failures.insert(p.key.clone(), (p.failures, p.error.clone()));
-    }
-    for t in &manifest.timed_out {
-        let entry = prior_failures
-            .entry(t.key.clone())
-            .or_insert((0, t.error.clone()));
-        entry.0 = entry.0.max(t.failures);
-    }
-    for q in &manifest.quarantined {
-        prior_failures.insert(q.key.clone(), (q.failures, q.error.clone()));
-    }
+    // quarantined. The folded log holds one record per key. Failed keys
+    // are retried unless quarantined; the final compaction keeps only
+    // this run's failures.
+    let prior_failures: std::collections::HashMap<String, (u32, String)> = manifest
+        .poisoned
+        .iter()
+        .chain(&manifest.timed_out)
+        .map(|t| (t.key.clone(), (t.failures, t.error.clone())))
+        .chain(
+            manifest
+                .quarantined
+                .iter()
+                .map(|q| (q.key.clone(), (q.failures, q.error.clone()))),
+        )
+        .collect();
     let previously_quarantined: std::collections::HashSet<String> =
         manifest.quarantined.iter().map(|q| q.key.clone()).collect();
     let prior_quarantined = std::mem::take(&mut manifest.quarantined);
-    manifest.poisoned.clear();
-    manifest.timed_out.clear();
 
     let done: std::collections::HashMap<&str, &CompletedTrial> = manifest
         .completed
@@ -240,17 +249,21 @@ pub fn run_sweep(
     let resumed =
         trials.len() - pending.len() - trials.iter().filter(|t| is_quarantined(&t.key)).count();
 
-    // One more failing run for `key` than the manifest remembers.
-    let bump_failures = |key: &str| -> u32 {
-        prior_failures
+    // This run's failure record for `key`: one more failing run than
+    // the manifest remembers.
+    let failed = |key: &str, error: &str, attempts: u32| FailedTrial {
+        key: key.to_string(),
+        error: error.to_string(),
+        attempts,
+        failures: prior_failures
             .get(key)
             .map_or(0, |(n, _)| *n)
-            .saturating_add(1)
+            .saturating_add(1),
     };
 
     // Shard the pending trials on the pool. Each task owns exactly one
-    // trial; the checkpoint callback appends to the manifest under a
-    // lock and rewrites it atomically.
+    // trial; the checkpoint callback appends its one manifest line
+    // under a lock.
     let policy = RunPolicy {
         retries: opts.retries,
         deadline: opts
@@ -260,7 +273,6 @@ pub fn run_sweep(
         backoff_base: Duration::from_millis(opts.backoff_ms),
         ..RunPolicy::default()
     };
-    let checkpoint = Mutex::new(manifest.clone());
 
     // Live progress: seed the totals before the pool starts so a
     // scraper sees the denominator immediately. Everything written to
@@ -332,32 +344,29 @@ pub fn run_sweep(
                         );
                     });
                 }
-                if opts.manifest.is_none() {
-                    return;
-                }
-                let mut m = checkpoint.lock().expect("checkpoint lock poisoned");
-                match outcome {
+                let Some(log) = &log else { return };
+                let record = match outcome {
                     TaskOutcome::Done { value, attempts } => {
-                        manifest_push_completed(&mut m, trial, value, *attempts)
+                        ManifestRecord::Completed(CompletedTrial {
+                            key: trial.key.clone(),
+                            digest: output_digest(value),
+                            attempts: *attempts,
+                            output: value.clone(),
+                        })
                     }
-                    TaskOutcome::Poisoned { error, attempts } => m.poisoned.push(PoisonedTrial {
-                        key: trial.key.clone(),
-                        error: error.clone(),
-                        attempts: *attempts,
-                        failures: bump_failures(&trial.key),
-                    }),
-                    TaskOutcome::TimedOut { error, attempts } => m.timed_out.push(TimedOutTrial {
-                        key: trial.key.clone(),
-                        error: error.clone(),
-                        attempts: *attempts,
-                        failures: bump_failures(&trial.key),
-                    }),
-                }
-                if let Some(path) = &opts.manifest {
-                    // A failed checkpoint write must not kill the sweep;
-                    // the final save reports the error instead.
-                    let _ = m.save(path);
-                }
+                    TaskOutcome::Poisoned { error, attempts } => {
+                        ManifestRecord::Poisoned(failed(&trial.key, error, *attempts))
+                    }
+                    TaskOutcome::TimedOut { error, attempts } => {
+                        ManifestRecord::TimedOut(failed(&trial.key, error, *attempts))
+                    }
+                };
+                // A failed checkpoint append must not kill the sweep;
+                // the final compaction reports the error instead.
+                let _ = log
+                    .lock()
+                    .expect("checkpoint lock poisoned")
+                    .append(&record);
             }
         },
     );
@@ -460,48 +469,43 @@ pub fn run_sweep(
                 &mut timed_out,
             );
         } else if let Some((error, attempts)) = poisoned_fresh.remove(trial.key.as_str()) {
-            poisoned.push(PoisonedTrial {
-                key: trial.key.clone(),
-                error,
-                attempts,
-                failures: bump_failures(&trial.key),
-            });
+            poisoned.push(failed(&trial.key, &error, attempts));
         } else if let Some((error, attempts)) = timed_out_fresh.remove(trial.key.as_str()) {
-            let rec = TimedOutTrial {
-                key: trial.key.clone(),
-                error,
-                attempts,
-                failures: bump_failures(&trial.key),
-            };
+            let rec = failed(&trial.key, &error, attempts);
             pool_timed_out.push(rec.clone());
             timed_out.push(rec);
         }
     }
 
-    // Final, authoritative manifest write (the incremental writes are
+    // Final, authoritative manifest compaction (the appends are
     // best-effort). Recorded trials outside the current selection are
     // kept: a narrowed spec must not drop earlier checkpoints. Only
     // pool-level timeouts are recorded for retry on resume; truncated
     // completions stay in `completed` (they are deterministic).
+    drop(log);
     if let Some(path) = &opts.manifest {
-        let mut final_manifest = Manifest::new(spec_digest, spec.root_seed);
-        final_manifest.completed = completed_records.clone();
         let selected: std::collections::HashSet<&str> =
             trials.iter().map(|t| t.key.as_str()).collect();
-        for rec in &manifest.completed {
-            if !selected.contains(rec.key.as_str()) {
-                final_manifest.completed.push(rec.clone());
-            }
+        let unselected = |key: &str| !selected.contains(key);
+        let kept_completed = manifest.completed.iter().filter(|r| unselected(&r.key));
+        let kept_quarantined = prior_quarantined.iter().filter(|r| unselected(&r.key));
+        Manifest {
+            spec_digest,
+            root_seed: spec.root_seed,
+            completed: completed_records
+                .into_iter()
+                .chain(kept_completed.cloned())
+                .collect(),
+            poisoned: poisoned.clone(),
+            timed_out: pool_timed_out,
+            quarantined: quarantined
+                .iter()
+                .chain(kept_quarantined)
+                .cloned()
+                .collect(),
         }
-        final_manifest.poisoned = poisoned.clone();
-        final_manifest.timed_out = pool_timed_out.clone();
-        final_manifest.quarantined = quarantined.clone();
-        for rec in &prior_quarantined {
-            if !selected.contains(rec.key.as_str()) {
-                final_manifest.quarantined.push(rec.clone());
-            }
-        }
-        final_manifest.save(path).map_err(SweepError::Manifest)?;
+        .save(path)
+        .map_err(SweepError::Manifest)?;
     }
 
     // Per-failure diagnostics bundles: one JSON file per poisoned,
@@ -567,15 +571,6 @@ pub fn run_sweep(
         spans,
         self_profile,
     })
-}
-
-fn manifest_push_completed(m: &mut Manifest, trial: &Trial, output: &TrialOutput, attempts: u32) {
-    m.completed.push(CompletedTrial {
-        key: trial.key.clone(),
-        digest: output_digest(output),
-        attempts,
-        output: output.clone(),
-    });
 }
 
 /// Writes one trial's diagnostics bundle:
@@ -687,29 +682,20 @@ fn digest_run(
     timed_out: &[TimedOutTrial],
     quarantined: &[QuarantinedTrial],
 ) -> u64 {
-    use unxpec::experiments::seeding::fnv1a64;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv64::new();
     for r in results {
-        mix(fnv1a64(&r.trial.key));
-        mix(r.digest);
+        h.mix_str(&r.trial.key).mix(r.digest);
     }
     for p in poisoned {
-        mix(fnv1a64(&p.key));
-        mix(fnv1a64(&p.error));
+        h.mix_str(&p.key).mix_str(&p.error);
     }
     for t in timed_out {
-        mix(fnv1a64(&t.key));
-        mix(fnv1a64(&t.error));
+        h.mix_str(&t.key).mix_str(&t.error);
     }
     for q in quarantined {
-        mix(fnv1a64(&q.key));
-        mix(u64::from(q.failures));
+        h.mix_str(&q.key).mix(u64::from(q.failures));
     }
-    h
+    h.finish()
 }
 
 /// One worker's share of a sweep, derived from the trial spans: which
@@ -1134,6 +1120,59 @@ mod tests {
             first.aggregate_digest, second.aggregate_digest,
             "recovery plus rerun reproduces the run"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression: salvage must never resume a record whose own
+    /// checksum fails. One changed metric digit inside one completed
+    /// line drops exactly that record; the trial reruns and the run
+    /// reproduces the uninterrupted digest.
+    #[test]
+    fn a_tampered_completed_record_is_dropped_and_rerun() {
+        let dir = temp_dir("tamper");
+        let manifest_path = dir.join("manifest.json");
+        let opts = SweepOptions {
+            manifest: Some(manifest_path.clone()),
+            ..Default::default()
+        };
+        let first = run_sweep(&toy_spec(), &toy_registry(), &opts).unwrap();
+        let text = std::fs::read_to_string(&manifest_path).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"key\": \"mul/x3/s1\""))
+            .expect("completed line for mul/x3/s1");
+        let value = &first
+            .results
+            .iter()
+            .find(|r| r.trial.key == "mul/x3/s1")
+            .unwrap()
+            .output
+            .metrics[0]
+            .1;
+        let metric = format!("\"metrics\": {{\"v\": {value}");
+        let digit = metric.chars().last().unwrap();
+        let bumped = char::from_digit((digit.to_digit(10).unwrap() + 1) % 10, 10).unwrap();
+        let tampered_metric = format!("{}{bumped}", &metric[..metric.len() - 1]);
+        let tampered = line.replacen(&metric, &tampered_metric, 1);
+        assert_ne!(line, tampered, "tamper target must exist");
+        std::fs::write(&manifest_path, text.replacen(line, &tampered, 1)).unwrap();
+
+        let second = run_sweep(&toy_spec(), &toy_registry(), &opts).unwrap();
+        assert_eq!(second.warnings.len(), 1, "dropping the record must warn");
+        assert!(
+            second.warnings[0].contains("recovered"),
+            "{}",
+            second.warnings[0]
+        );
+        let rerun: Vec<&str> = second
+            .results
+            .iter()
+            .filter(|r| !r.resumed)
+            .map(|r| r.trial.key.as_str())
+            .collect();
+        assert_eq!(rerun, ["mul/x3/s1"], "only the tampered trial reruns");
+        assert_eq!(second.aggregate_digest, first.aggregate_digest);
+        assert_eq!(second.aggregates, first.aggregates);
         std::fs::remove_dir_all(&dir).ok();
     }
 

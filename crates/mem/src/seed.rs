@@ -20,14 +20,61 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// An FNV-1a chain over 64-bit words: the one mixing rule behind the
+/// label hash, every digest and every checksum in the workspace.
+///
+/// ```
+/// use unxpec_mem::seed::{fnv1a64, Fnv64};
+/// let mut h = Fnv64::new();
+/// h.mix(7).mix_str("key");
+/// assert_eq!(h.finish(), Fnv64::new().mix(7).mix(fnv1a64("key")).finish());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A chain at the FNV-1a offset basis.
+    pub const fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds one word into the chain.
+    #[inline]
+    pub fn mix(&mut self, v: u64) -> &mut Self {
+        self.0 ^= v;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        self
+    }
+
+    /// Folds each byte in as one word: byte-wise FNV-1a.
+    #[inline]
+    pub fn mix_bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        for b in bytes {
+            self.mix(u64::from(*b));
+        }
+        self
+    }
+
+    /// Folds in `s`'s [`fnv1a64`] label hash as one word.
+    pub fn mix_str(&mut self, s: &str) -> &mut Self {
+        self.mix(fnv1a64(s))
+    }
+
+    /// The chain's current value.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
 /// FNV-1a over `label`'s bytes — the stable label hash.
 pub fn fnv1a64(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv64::new().mix_bytes(label.as_bytes()).finish()
 }
 
 /// The seed for the stream `label` under `root`.
@@ -51,6 +98,13 @@ mod tests {
         assert_ne!(stream(1, "pdf"), stream(1, "leakage"));
         assert_ne!(stream(1, "pdf"), stream(2, "pdf"));
         assert_eq!(stream(7, "rate"), stream(7, "rate"));
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64("foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

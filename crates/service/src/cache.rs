@@ -14,9 +14,9 @@
 //! * **Sharded directories** — entry `key` lives at
 //!   `<dir>/<key % 256 as hex>/<key as 016x>.json`, keeping any single
 //!   directory small even at millions of entries.
-//! * **Atomic writes** — entries are written to a `.tmp` sibling and
-//!   renamed into place; a crash mid-write can never leave a torn
-//!   entry under the final name.
+//! * **Atomic writes** — entries are written through
+//!   [`durable::replace`] (a `.tmp` sibling renamed into place); a crash
+//!   mid-write can never leave a torn entry under the final name.
 //! * **Integrity checksum** — each entry carries an FNV-1a checksum
 //!   over every recorded field *and* the trial's output digest; a
 //!   bit-flipped or truncated entry fails validation on read, is
@@ -38,12 +38,14 @@
 //! reason.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use unxpec::experiments::seeding::fnv1a64;
+use unxpec::experiments::seeding::Fnv64;
+use unxpec_harness::durable::{self, field, hex, parse_hex, Record};
 use unxpec_harness::{output_digest, TrialOutput};
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec_telemetry::json::Value;
 
 use crate::error::ServiceError;
 
@@ -93,105 +95,58 @@ pub struct ResultCache {
 /// as corrupt instead of mis-parsing.
 const ENTRY_VERSION: u64 = 1;
 
-fn hex(v: u64) -> String {
-    format!("{v:#x}")
+/// One entry file: the output stored under `key`, with its
+/// [`output_digest`].
+struct Entry {
+    key: u64,
+    digest: u64,
+    output: TrialOutput,
 }
 
-fn parse_hex(v: &Value) -> Option<u64> {
-    let s = v.as_str()?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
+/// The v1 entry layout is pinned byte for byte, so the output follows
+/// the checksum instead of preceding it as in a log record.
+impl Record for Entry {
+    const VERSION: u64 = ENTRY_VERSION;
 
-/// FNV-1a chain over every field of an entry, mixed with the output
-/// digest. This is what detects a flipped bit or a truncated file.
-fn entry_checksum(key: u64, digest: u64, output: &TrialOutput) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(ENTRY_VERSION);
-    mix(key);
-    mix(digest);
-    mix(u64::from(output.truncated));
-    mix(output.metrics.len() as u64);
-    for (name, value) in &output.metrics {
-        mix(fnv1a64(name));
-        mix(value.to_bits());
+    /// FNV-1a chain over every field of an entry, mixed with the
+    /// output digest. This is what detects a flipped bit or a
+    /// truncated file.
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.mix(ENTRY_VERSION).mix(self.key).mix(self.digest);
+        durable::mix_output(&mut h, &self.output);
+        h.finish()
     }
-    mix(fnv1a64(&output.rendered));
-    h
-}
 
-fn entry_json(key: u64, output: &TrialOutput) -> String {
-    let digest = output_digest(output);
-    let mut out = format!(
-        "{{\"v\": {ENTRY_VERSION}, \"key\": \"{}\", \"digest\": \"{}\", \"checksum\": \"{}\", ",
-        hex(key),
-        hex(digest),
-        hex(entry_checksum(key, digest, output))
-    );
-    if output.truncated {
-        out.push_str("\"truncated\": true, ");
+    fn render_members(&self, out: &mut String) -> fmt::Result {
+        let (key, digest) = (hex(self.key), hex(self.digest));
+        write!(out, "\"key\": \"{key}\", \"digest\": \"{digest}\"")
     }
-    out.push_str("\"metrics\": {");
-    for (i, (name, value)) in output.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", escape(name), value));
+
+    fn render_tail(&self, out: &mut String) -> fmt::Result {
+        out.push_str(", ");
+        durable::render_output(&self.output, out)
     }
-    out.push_str(&format!(
-        "}}, \"rendered\": \"{}\"}}\n",
-        escape(&output.rendered)
-    ));
-    out
+
+    fn from_doc(doc: &Value) -> Result<Self, String> {
+        Ok(Entry {
+            key: field(doc, "key", parse_hex)?,
+            digest: field(doc, "digest", parse_hex)?,
+            output: durable::parse_output(doc)?,
+        })
+    }
 }
 
 /// Parses and fully validates one entry file's text for `key`.
 fn parse_entry(key: u64, text: &str) -> Result<TrialOutput, String> {
-    let doc = json::parse(text)?;
-    if doc.get("v").and_then(Value::as_u64) != Some(ENTRY_VERSION) {
-        return Err("entry version mismatch".to_string());
-    }
-    if doc.get("key").and_then(parse_hex) != Some(key) {
+    let entry: Entry = durable::parse(text)?;
+    if entry.key != key {
         return Err("entry key does not match its address".to_string());
     }
-    let digest = doc
-        .get("digest")
-        .and_then(parse_hex)
-        .ok_or("entry missing digest")?;
-    let recorded = doc
-        .get("checksum")
-        .and_then(parse_hex)
-        .ok_or("entry missing checksum")?;
-    let rendered = doc
-        .get("rendered")
-        .and_then(Value::as_str)
-        .ok_or("entry missing rendered")?
-        .to_string();
-    let truncated = matches!(doc.get("truncated"), Some(Value::Bool(true)));
-    let mut metrics = Vec::new();
-    match doc.get("metrics") {
-        Some(Value::Obj(members)) => {
-            for (name, value) in members {
-                let v = value
-                    .as_f64()
-                    .ok_or_else(|| format!("metric {name:?} is not a number"))?;
-                metrics.push((name.clone(), v));
-            }
-        }
-        _ => return Err("entry missing metrics{}".to_string()),
-    }
-    let mut output = TrialOutput::new(rendered, vec![]).with_truncated(truncated);
-    output.metrics = metrics;
-    if entry_checksum(key, digest, &output) != recorded {
-        return Err("entry checksum mismatch".to_string());
-    }
-    if output_digest(&output) != digest {
+    if output_digest(&entry.output) != entry.digest {
         return Err("entry output digest mismatch".to_string());
     }
-    Ok(output)
+    Ok(entry.output)
 }
 
 impl ResultCache {
@@ -321,23 +276,13 @@ impl ResultCache {
     /// A single entry larger than the whole bound is kept — evicting it
     /// would make the cell uncacheable forever.
     pub fn put(&mut self, key: u64, output: &TrialOutput) -> Result<(), ServiceError> {
-        let text = entry_json(key, output);
+        let text = durable::render(&Entry {
+            key,
+            digest: output_digest(output),
+            output: output.clone(),
+        });
         let path = self.path_for(key);
-        let shard = path
-            .parent()
-            .ok_or_else(|| ServiceError::Cache("entry path has no shard dir".to_string()))?;
-        std::fs::create_dir_all(shard)
-            .map_err(|e| ServiceError::Cache(format!("create {}: {e}", shard.display())))?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &text)
-            .map_err(|e| ServiceError::Cache(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            ServiceError::Cache(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })?;
+        durable::replace(&path, &text).map_err(ServiceError::Cache)?;
         self.forget(key); // replacing an entry must not double-count bytes
         self.sizes.insert(key, text.len() as u64);
         self.stats.bytes += text.len() as u64;
@@ -412,6 +357,28 @@ mod tests {
             reopened.get(7).expect("persistent hit").rendered,
             o.rendered
         );
+        std::fs::remove_dir_all(&config.dir).ok();
+    }
+
+    /// The v1 entry bytes are pinned: a cache directory written before
+    /// the shared durable format must keep serving every entry.
+    #[test]
+    fn v1_entry_bytes_are_unchanged() {
+        let (config, mut cache) = temp_cache("v1-bytes", 0);
+        let o = TrialOutput::new("x \"y\"\nz".into(), vec![("a", 1.5), ("b", -0.25)])
+            .with_truncated(true);
+        cache.put(0xfeed, &o).expect("put");
+        let text = std::fs::read_to_string(cache.path_for(0xfeed)).expect("entry");
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"v": 1, "key": "0xfeed", "digest": "0x4ea43988f33e157a", "#,
+                r#""checksum": "0xd26c2745d107c519", "truncated": true, "#,
+                r#""metrics": {"a": 1.5, "b": -0.25}, "rendered": "x \"y\"\nz"}"#,
+                "\n"
+            )
+        );
+        assert_eq!(cache.get(0xfeed), Some(o));
         std::fs::remove_dir_all(&config.dir).ok();
     }
 

@@ -10,34 +10,24 @@
 //! re-enqueued. A `kill -9` mid-sweep therefore costs nothing but the
 //! cells that were actually in flight.
 //!
-//! Durability discipline (same family as the result cache):
-//!
-//! * **Append + flush per record** — each record is one `\n`-terminated
-//!   line flushed to the OS before the write returns, so a killed
-//!   *process* never loses an acknowledged record (only a power loss
-//!   could, and the lenient loader bounds that cost to the torn tail).
-//! * **Per-line FNV checksum** — every record carries an FNV-1a
-//!   checksum over all of its fields; a flipped bit or a torn line
-//!   fails validation on load.
-//! * **Lenient line-by-line salvage** — loading never panics and never
-//!   discards the whole journal: each line either parses and validates
-//!   or is counted into [`JournalRecovery::dropped`] and skipped,
-//!   mirroring the sweep manifest's crash-recovery contract.
-//! * **Atomic compaction** — after a successful replay the journal is
-//!   rewritten from the salvaged records through a `.tmp` sibling and
-//!   `rename`, so corruption never accumulates and a crash mid-compact
-//!   leaves the previous journal intact.
+//! The line format, salvage, append + flush and atomic compaction
+//! come from [`unxpec_harness::durable`] (see `docs/harness.md`,
+//! "Durable files"): an acknowledged record survives `kill -9`, a torn
+//! or flipped line costs only itself (counted into
+//! [`JournalRecovery::dropped`]), and [`Journal::open`] rewrites the
+//! salvaged records atomically so corruption never accumulates.
 //!
 //! What is deliberately *not* journaled: trial outputs (they live in
 //! the result cache under the cell digest — the journal only records
 //! *that* a cell finished), and failed slots (a poisoned or timed-out
 //! cell should get a fresh chance after a restart).
 
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fmt::{self, Write as _};
+use std::path::Path;
 
-use unxpec::experiments::seeding::fnv1a64;
-use unxpec_telemetry::json::{self, escape, Value};
+use unxpec::experiments::seeding::Fnv64;
+use unxpec_harness::durable::{self, field, hex, parse_hex, Log, Record, Salvage};
+use unxpec_telemetry::json::{escape, Value};
 
 use crate::error::ServiceError;
 
@@ -84,122 +74,88 @@ impl JournalRecord {
         }
     }
 
-    /// FNV-1a chain over every field; what detects torn/flipped lines.
-    fn checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(JOURNAL_VERSION);
-        mix(fnv1a64(self.type_tag()));
-        match self {
-            JournalRecord::Submit {
-                job,
-                tenant,
-                spec_text,
-            } => {
-                mix(*job);
-                mix(fnv1a64(tenant));
-                mix(fnv1a64(spec_text));
-            }
-            JournalRecord::CellDone { job, slot, cell } => {
-                mix(*job);
-                mix(*slot);
-                mix(*cell);
-            }
-            JournalRecord::Cancel { job } => mix(*job),
-        }
-        h
-    }
-
     /// Renders the record as its one-line JSON form (with trailing
     /// newline).
     pub fn render(&self) -> String {
-        let checksum = format!("{:#x}", self.checksum());
-        match self {
-            JournalRecord::Submit {
-                job,
-                tenant,
-                spec_text,
-            } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"submit\", \"job\": {job}, \"tenant\": \"{}\", \"spec\": \"{}\", \"checksum\": \"{checksum}\"}}\n",
-                escape(tenant),
-                escape(spec_text)
-            ),
-            JournalRecord::CellDone { job, slot, cell } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"done\", \"job\": {job}, \"slot\": {slot}, \"cell\": \"{cell:#x}\", \"checksum\": \"{checksum}\"}}\n"
-            ),
-            JournalRecord::Cancel { job } => format!(
-                "{{\"v\": {JOURNAL_VERSION}, \"type\": \"cancel\", \"job\": {job}, \"checksum\": \"{checksum}\"}}\n"
-            ),
-        }
+        durable::render(self)
     }
 
     /// Parses and fully validates one journal line.
     pub fn parse(line: &str) -> Result<JournalRecord, String> {
-        let doc = json::parse(line)?;
-        if doc.get("v").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
-            return Err("journal record version mismatch".to_string());
-        }
-        let field_u64 = |name: &str| -> Result<u64, String> {
-            doc.get(name)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("record missing numeric field {name:?}"))
-        };
-        let field_str = |name: &str| -> Result<String, String> {
-            doc.get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("record missing string field {name:?}"))
-        };
-        let field_hex = |name: &str| -> Result<u64, String> {
-            let s = field_str(name)?;
-            let raw = s
-                .strip_prefix("0x")
-                .ok_or_else(|| format!("{name} {s:?} missing 0x prefix"))?;
-            u64::from_str_radix(raw, 16).map_err(|e| format!("{name} {s:?}: {e}"))
-        };
-        let record = match field_str("type")?.as_str() {
-            "submit" => JournalRecord::Submit {
-                job: field_u64("job")?,
-                tenant: field_str("tenant")?,
-                spec_text: field_str("spec")?,
-            },
-            "done" => JournalRecord::CellDone {
-                job: field_u64("job")?,
-                slot: field_u64("slot")?,
-                cell: field_hex("cell")?,
-            },
-            "cancel" => JournalRecord::Cancel {
-                job: field_u64("job")?,
-            },
-            other => return Err(format!("unknown record type {other:?}")),
-        };
-        if record.checksum() != field_hex("checksum")? {
-            return Err("record checksum mismatch".to_string());
-        }
-        Ok(record)
+        durable::parse(line)
     }
 }
 
-/// What loading an existing journal recovered.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JournalRecovery {
-    /// Records that parsed and validated, in file order.
-    pub records: Vec<JournalRecord>,
-    /// Lines dropped as corrupt (torn tail, flipped bits, old
-    /// versions). Typed and counted — salvage never panics.
-    pub dropped: u64,
+impl Record for JournalRecord {
+    const VERSION: u64 = JOURNAL_VERSION;
+
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.mix(JOURNAL_VERSION).mix_str(self.type_tag());
+        match self {
+            JournalRecord::Submit {
+                job,
+                tenant,
+                spec_text,
+            } => h.mix(*job).mix_str(tenant).mix_str(spec_text),
+            JournalRecord::CellDone { job, slot, cell } => h.mix(*job).mix(*slot).mix(*cell),
+            JournalRecord::Cancel { job } => h.mix(*job),
+        };
+        h.finish()
+    }
+
+    fn render_members(&self, out: &mut String) -> fmt::Result {
+        write!(out, "\"type\": \"{}\", ", self.type_tag())?;
+        match self {
+            JournalRecord::Submit {
+                job,
+                tenant,
+                spec_text,
+            } => write!(
+                out,
+                "\"job\": {job}, \"tenant\": \"{}\", \"spec\": \"{}\"",
+                escape(tenant),
+                escape(spec_text)
+            ),
+            JournalRecord::CellDone { job, slot, cell } => write!(
+                out,
+                "\"job\": {job}, \"slot\": {slot}, \"cell\": \"{}\"",
+                hex(*cell)
+            ),
+            JournalRecord::Cancel { job } => write!(out, "\"job\": {job}"),
+        }
+    }
+
+    fn from_doc(doc: &Value) -> Result<Self, String> {
+        let text = |name| field(doc, name, Value::as_str).map(str::to_string);
+        let number = |name| field(doc, name, Value::as_u64);
+        Ok(match text("type")?.as_str() {
+            "submit" => JournalRecord::Submit {
+                job: number("job")?,
+                tenant: text("tenant")?,
+                spec_text: text("spec")?,
+            },
+            "done" => JournalRecord::CellDone {
+                job: number("job")?,
+                slot: number("slot")?,
+                cell: field(doc, "cell", parse_hex)?,
+            },
+            "cancel" => JournalRecord::Cancel {
+                job: number("job")?,
+            },
+            other => return Err(format!("unknown record type {other:?}")),
+        })
+    }
 }
+
+/// What loading an existing journal recovered: the records that
+/// parsed and validated, in file order, and the count of dropped lines
+/// (torn tail, flipped bits, old versions).
+pub type JournalRecovery = Salvage<JournalRecord>;
 
 /// The append handle over one journal file.
 #[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: std::fs::File,
-    records: u64,
-}
+pub struct Journal(Log);
 
 impl Journal {
     /// Loads (leniently) whatever journal exists at `path`, compacts
@@ -207,100 +163,28 @@ impl Journal {
     /// appending. Returns the handle plus the recovery summary the
     /// server replays from.
     pub fn open(path: &Path) -> Result<(Journal, JournalRecovery), ServiceError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| {
-                    ServiceError::Journal(format!("create {}: {e}", parent.display()))
-                })?;
-            }
-        }
-        let recovery = match std::fs::read_to_string(path) {
-            Ok(text) => Self::salvage(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => JournalRecovery::default(),
-            Err(e) => {
-                return Err(ServiceError::Journal(format!(
-                    "read {}: {e}",
-                    path.display()
-                )))
-            }
-        };
-        // Compact: rewrite only the salvaged records, atomically, so a
-        // corrupt tail doesn't survive into the next lifetime (and a
-        // crash mid-compact leaves the old journal intact).
-        let mut compacted = String::new();
-        for record in &recovery.records {
-            compacted.push_str(&record.render());
-        }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &compacted)
-            .map_err(|e| ServiceError::Journal(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            ServiceError::Journal(format!(
-                "rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })?;
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| ServiceError::Journal(format!("open {}: {e}", path.display())))?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file,
-                records: recovery.records.len() as u64,
-            },
-            recovery,
-        ))
+        let (log, recovery) = Log::open(path).map_err(ServiceError::Journal)?;
+        Ok((Journal(log), recovery))
     }
 
     /// Lenient line-by-line recovery: keep every line that parses and
     /// validates, count the rest. Never an error, never a panic.
     pub fn salvage(text: &str) -> JournalRecovery {
-        let mut recovery = JournalRecovery::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match JournalRecord::parse(line) {
-                Ok(record) => recovery.records.push(record),
-                Err(_) => recovery.dropped += 1,
-            }
-        }
-        recovery
+        durable::salvage(text)
     }
 
     /// Appends one record and flushes it to the OS. After this returns,
     /// a killed process cannot lose the record.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), ServiceError> {
-        self.file
-            .write_all(record.render().as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| ServiceError::Journal(format!("append {}: {e}", self.path.display())))?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Records appended or salvaged so far in this lifetime.
-    pub fn len(&self) -> u64 {
-        self.records
-    }
-
-    /// Whether the journal currently holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.0.append(record).map_err(ServiceError::Journal)
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
@@ -340,6 +224,38 @@ mod tests {
         }
     }
 
+    /// The v1 line bytes are pinned: journals written before the
+    /// shared durable format must reopen with nothing dropped.
+    #[test]
+    fn v1_line_bytes_are_unchanged() {
+        let pinned = [
+            (
+                JournalRecord::Submit {
+                    job: 1,
+                    tenant: "alice \"q\"".into(),
+                    spec_text: "experiments = timeline\nseeds = 2\n".into(),
+                },
+                r#"{"v": 1, "type": "submit", "job": 1, "tenant": "alice \"q\"", "spec": "experiments = timeline\nseeds = 2\n", "checksum": "0xa8fdc7ffd48afdf4"}"#,
+            ),
+            (
+                JournalRecord::CellDone {
+                    job: 1,
+                    slot: 0,
+                    cell: 0x6104_1e1f_3bbe_4317,
+                },
+                r#"{"v": 1, "type": "done", "job": 1, "slot": 0, "cell": "0x61041e1f3bbe4317", "checksum": "0x2631f9a070b95fb3"}"#,
+            ),
+            (
+                JournalRecord::Cancel { job: 1 },
+                r#"{"v": 1, "type": "cancel", "job": 1, "checksum": "0x57366264aadb6efc"}"#,
+            ),
+        ];
+        for (record, line) in pinned {
+            assert_eq!(record.render(), format!("{line}\n"));
+            assert_eq!(JournalRecord::parse(line).expect("parse"), record);
+        }
+    }
+
     #[test]
     fn checksum_rejects_field_tampering() {
         let line = JournalRecord::Submit {
@@ -363,16 +279,13 @@ mod tests {
         {
             let (mut journal, recovery) = Journal::open(&path).expect("open fresh");
             assert!(recovery.records.is_empty());
-            assert!(journal.is_empty());
             for record in sample_records() {
                 journal.append(&record).expect("append");
             }
-            assert_eq!(journal.len(), 3);
         }
-        let (journal, recovery) = Journal::open(&path).expect("reopen");
+        let (_, recovery) = Journal::open(&path).expect("reopen");
         assert_eq!(recovery.records, sample_records());
         assert_eq!(recovery.dropped, 0);
-        assert_eq!(journal.len(), 3);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

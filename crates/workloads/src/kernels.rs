@@ -191,7 +191,9 @@ fn build_program(spec: &KernelSpec, unroll: usize) -> Program {
         // uncorrelated, like distinct unrolled strides would be.
         b.mov(
             r_lcg[lane],
-            spec.seed.wrapping_add(lane as u64 * 0x9e37_79b9_7f4a_7c15) | 1,
+            spec.seed
+                .wrapping_add((lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                | 1,
         );
         b.mov(r_w[lane], 1);
     }
@@ -380,6 +382,23 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 12);
+    }
+
+    /// Regression: an unroll-4 body seeds lanes 2 and 3 with
+    /// `lane * 0x9e37_79b9_7f4a_7c15`, which exceeds `u64`. The product
+    /// must wrap, as release builds always did, not panic in debug.
+    #[test]
+    fn unrolled_workloads_build_with_wrapping_lane_seeds() {
+        let spec = KernelSpec {
+            branch_mask: 0,
+            ..*small_branchy().spec()
+        };
+        let unrolled = Workload::with_unroll(spec, 4);
+        assert!(unrolled.program().len() > Workload::new(spec).program().len());
+        let mut core = Core::table_i();
+        unrolled.install(&mut core);
+        let r = core.run_for(unrolled.program(), 5_000);
+        assert!(r.stats.committed_insts > 0);
     }
 
     #[test]

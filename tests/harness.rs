@@ -1,13 +1,16 @@
 //! Integration tests for the sweep harness: parallel-equals-serial
-//! determinism, checkpoint/resume from a manifest, and panic
-//! containment with bounded retry (`docs/harness.md`).
+//! determinism, the pinned aggregate digest, checkpoint/resume from a
+//! manifest log, and panic containment with bounded retry
+//! (`docs/harness.md`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use unxpec_harness::durable::Log;
 use unxpec_harness::{
-    run_sweep, FnExperiment, Manifest, Registry, SweepError, SweepOptions, SweepSpec, TrialOutput,
+    run_sweep, CompletedTrial, FnExperiment, Manifest, ManifestRecord, PoisonedTrial, Registry,
+    SweepError, SweepOptions, SweepSpec, TrialOutput,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -58,6 +61,35 @@ fn parallel_sweep_equals_serial_sweep_on_real_experiments() {
     assert!(serial.poisoned.is_empty() && parallel.poisoned.is_empty());
 }
 
+/// The sweep aggregate digest BENCH.md records for
+/// `sweep --experiments rollback,pdf,leakage,timeline --scale quick
+/// --seeds 4`. Every trial's output digest feeds it, so any change to
+/// a simulated result, to `output_digest` or to the digest chain moves
+/// it; it must not move with the worker count.
+#[test]
+fn sweep_aggregate_digest_is_pinned_at_every_job_count() {
+    let mut spec = SweepSpec::quick();
+    spec.experiments = ["rollback", "pdf", "leakage", "timeline"]
+        .map(String::from)
+        .to_vec();
+    spec.seeds = 4;
+    for jobs in [1, 2] {
+        let report = run_sweep(
+            &spec,
+            &Registry::builtin(),
+            &SweepOptions {
+                jobs,
+                ..SweepOptions::default()
+            },
+        )
+        .expect("sweep");
+        assert_eq!(
+            report.aggregate_digest, 0xec58_6dd9_4b11_5859,
+            "aggregate digest moved at --jobs {jobs}"
+        );
+    }
+}
+
 fn counting_registry(runs: Arc<AtomicUsize>) -> Registry {
     let mut r = Registry::new();
     r.register(FnExperiment::new("count", &["default"], move |ctx| {
@@ -106,6 +138,87 @@ fn resume_from_manifest_skips_completed_trials() {
     assert_eq!(third.resumed, 5);
     assert_eq!(third.results.len(), 8);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A log that holds a compacted `poisoned` record and then an appended
+/// `completed` record for the same key resumes that key as completed:
+/// the last record wins, and the superseded failure neither
+/// quarantines the key nor survives the final compaction.
+#[test]
+fn an_appended_completion_supersedes_a_compacted_poisoning() {
+    let dir = tmpdir("last-wins");
+    let manifest = dir.join("manifest.json");
+    let runs = Arc::new(AtomicUsize::new(0));
+    let registry = counting_registry(runs.clone());
+    let mut spec = SweepSpec::quick();
+    spec.experiments = vec!["count".into()];
+    spec.seeds = 2;
+    let uninterrupted = run_sweep(&spec, &registry, &SweepOptions::default()).expect("reference");
+    let s0 = &uninterrupted.results[0];
+    assert_eq!(s0.trial.key, "count/default/s0");
+
+    let mut compacted = Manifest::new(spec.digest(), spec.root_seed);
+    compacted.poisoned.push(PoisonedTrial {
+        key: s0.trial.key.clone(),
+        error: "panicked at 'earlier run'".into(),
+        attempts: 1,
+        failures: 1,
+    });
+    compacted.save(&manifest).expect("compact");
+    Log::append_to(&manifest)
+        .and_then(|mut log| {
+            log.append(&ManifestRecord::Completed(CompletedTrial {
+                key: s0.trial.key.clone(),
+                digest: s0.digest,
+                attempts: s0.attempts,
+                output: s0.output.clone(),
+            }))
+        })
+        .expect("append");
+
+    // With quarantine after one failing run, a surviving poisoned
+    // record would quarantine s0 instead of resuming it.
+    let runs_before = runs.load(Ordering::Relaxed);
+    let opts = SweepOptions {
+        manifest: Some(manifest.clone()),
+        quarantine_after: 1,
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(&spec, &registry, &opts).expect("resumed run");
+    assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+    assert_eq!(report.resumed, 1, "s0 resumes as completed");
+    assert_eq!(runs.load(Ordering::Relaxed) - runs_before, 1, "only s1 ran");
+    assert!(report.quarantined.is_empty() && report.poisoned.is_empty());
+    assert_eq!(report.aggregate_digest, uninterrupted.aggregate_digest);
+    let saved = Manifest::load(&manifest).expect("compacted manifest");
+    assert_eq!(saved.completed.len(), 2);
+    assert!(saved.poisoned.is_empty() && saved.quarantined.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pre-log (whole-document) manifest is refused with a typed error
+/// that names the file, and the file is left untouched.
+#[test]
+fn a_pre_log_manifest_is_refused_not_resumed() {
+    let dir = tmpdir("legacy");
+    let manifest = dir.join("manifest.json");
+    let legacy = "{\n  \"version\": 2,\n  \"checksum\": \"0x1\",\n  \"spec_digest\": \"0x2\",\n  \"root_seed\": 3,\n  \"completed\": [\n  ]\n}\n";
+    std::fs::write(&manifest, legacy).expect("write legacy manifest");
+    let mut spec = SweepSpec::quick();
+    spec.experiments = vec!["count".into()];
+    spec.seeds = 1;
+    let opts = SweepOptions {
+        manifest: Some(manifest.clone()),
+        ..SweepOptions::default()
+    };
+    match run_sweep(&spec, &counting_registry(Arc::default()), &opts) {
+        Err(SweepError::Manifest(e)) => {
+            assert!(e.contains("manifest.json") && e.contains("delete"), "{e}");
+        }
+        other => panic!("expected SweepError::Manifest, got {other:?}"),
+    }
+    assert_eq!(std::fs::read_to_string(&manifest).unwrap(), legacy);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,7 +1,8 @@
-//! Manifest-parsing robustness: no input — valid, truncated, bit-flipped,
-//! or random garbage — may ever panic the parser or the lenient
-//! recovery path. Corruption must surface as `Err` or as a salvaged
-//! manifest with a warning (see `docs/fault_injection.md`).
+//! Manifest-log robustness: no input — valid, truncated, bit-flipped,
+//! or random garbage — may ever panic the salvage path, and salvage
+//! never yields a record that was not written. Corruption must surface
+//! as `Err` or as a salvaged manifest with a dropped-line count (see
+//! "Durable files" in `docs/harness.md`).
 
 use proptest::prelude::*;
 use unxpec_harness::{
@@ -9,7 +10,7 @@ use unxpec_harness::{
     TrialOutput,
 };
 
-/// A populated v2 manifest exercising every record section.
+/// A populated manifest exercising every record type.
 fn sample_manifest() -> Manifest {
     let mut m = Manifest::new(0xdead_beef, 0x5eed);
     let mut out = TrialOutput::new("rendered body".into(), vec![]);
@@ -48,30 +49,38 @@ fn sample_manifest() -> Manifest {
     m
 }
 
+/// The manifest the first `lines` lines of `sample_manifest().to_log()`
+/// describe (line 0 is the header).
+fn first_lines(lines: usize) -> Manifest {
+    let full = sample_manifest();
+    let mut m = Manifest::new(full.spec_digest, full.root_seed);
+    let mut left = lines.saturating_sub(1);
+    let mut take = |n: usize| {
+        let k = n.min(left);
+        left -= k;
+        k
+    };
+    m.completed = full.completed[..take(full.completed.len())].to_vec();
+    m.poisoned = full.poisoned[..take(full.poisoned.len())].to_vec();
+    m.timed_out = full.timed_out[..take(full.timed_out.len())].to_vec();
+    m.quarantined = full.quarantined[..take(full.quarantined.len())].to_vec();
+    m
+}
+
 /// Characters JSON structure is built from — input drawn here reaches
 /// deeper parser layers than raw bytes do.
 const JSONISH: &[char] = &[
     '{', '}', '[', ']', ',', ':', '"', '0', '1', '9', 'a', 'e', 'x', ' ', '\n', '.', '-', '\\',
 ];
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "unxpec-manifest-prop-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    p
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary bytes: parse returns Ok or Err, never panics.
+    /// Arbitrary bytes: salvage returns Ok or Err, never panics.
     #[test]
     fn parse_never_panics_on_arbitrary_input(bytes in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let text = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = Manifest::parse(&text);
+        let _ = Manifest::salvage(&text);
     }
 
     /// Arbitrary *JSON-looking* input reaches deeper parser layers and
@@ -81,66 +90,70 @@ proptest! {
         indices in proptest::collection::vec(0usize..JSONISH.len(), 0..512),
     ) {
         let body: String = indices.iter().map(|&i| JSONISH[i]).collect();
-        let _ = Manifest::parse(&format!("{{{body}}}"));
-        let _ = Manifest::parse(&body);
+        let _ = Manifest::salvage(&format!("{{{body}}}"));
+        let _ = Manifest::salvage(&body);
     }
 
-    /// Every prefix of a valid manifest either parses, recovers
-    /// leniently with a warning, or fails typed — never panics, and
-    /// recovery never invents records that were not in the prefix.
+    /// Every prefix of a valid log recovers exactly its intact lines:
+    /// the records whose whole line survived, no more, no fewer. A
+    /// prefix that cuts the header is a typed error.
     #[test]
     fn truncation_never_panics_and_recovery_is_sound(cut in 0usize..2000) {
-        let manifest = sample_manifest();
-        let text = manifest.to_json();
+        let text = sample_manifest().to_log();
         let cut = cut.min(text.len());
         // The writer emits pure ASCII, so any byte index is a char
         // boundary.
-        let prefix = text.get(..cut).expect("manifest JSON is ASCII");
-        let _ = Manifest::parse(prefix);
-
-        let path = temp_path("prefix");
-        std::fs::write(&path, prefix).expect("write prefix");
-        let loaded = Manifest::load_lenient(&path);
-        std::fs::remove_file(&path).ok();
-        if let Ok((recovered, _warning)) = loaded {
-            prop_assert!(recovered.completed.len() <= manifest.completed.len());
-            prop_assert!(recovered.poisoned.len() <= manifest.poisoned.len());
-            prop_assert!(recovered.timed_out.len() <= manifest.timed_out.len());
-            prop_assert!(recovered.quarantined.len() <= manifest.quarantined.len());
-            for trial in &recovered.completed {
-                prop_assert!(
-                    manifest.completed.iter().any(|t| t == trial),
-                    "recovered a record the original never held"
-                );
+        let prefix = text.get(..cut).expect("manifest log is ASCII");
+        let intact = text
+            .split_inclusive('\n')
+            .scan(0, |end, line| {
+                *end += line.len();
+                Some(*end - 1)
+            })
+            .filter(|&line_end| line_end <= cut)
+            .count();
+        match Manifest::salvage(prefix) {
+            Ok((recovered, dropped)) => {
+                prop_assert!(intact >= 1, "recovered without an intact header");
+                prop_assert_eq!(recovered, first_lines(intact));
+                prop_assert!(dropped <= 1, "only the torn line drops");
             }
+            Err(_) => prop_assert_eq!(intact, 0, "an intact header must load"),
         }
     }
 
-    /// Single-byte corruption anywhere in a valid manifest: the
-    /// checksum or parser rejects it, or lenient recovery salvages —
-    /// no panic either way.
+    /// Single-byte corruption anywhere in a valid log never panics and
+    /// never yields a record that differs from one that was written.
     #[test]
     fn bit_flips_never_panic(pos in 0usize..2000, flip in 1u8..=255) {
-        let text = sample_manifest().to_json();
-        let mut bytes = text.into_bytes();
+        let written = sample_manifest();
+        let mut bytes = written.to_log().into_bytes();
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
         let corrupt = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = Manifest::parse(&corrupt);
-
-        let path = temp_path("flip");
-        std::fs::write(&path, &corrupt).expect("write corrupt");
-        let _ = Manifest::load_lenient(&path);
-        std::fs::remove_file(&path).ok();
+        if let Ok((recovered, _dropped)) = Manifest::salvage(&corrupt) {
+            prop_assert_eq!(recovered.spec_digest, written.spec_digest);
+            prop_assert_eq!(recovered.root_seed, written.root_seed);
+            for t in &recovered.completed {
+                prop_assert!(written.completed.contains(t), "invented {:?}", t);
+            }
+            for t in &recovered.poisoned {
+                prop_assert!(written.poisoned.contains(t), "invented {:?}", t);
+            }
+            for t in &recovered.timed_out {
+                prop_assert!(written.timed_out.contains(t), "invented {:?}", t);
+            }
+            for t in &recovered.quarantined {
+                prop_assert!(written.quarantined.contains(t), "invented {:?}", t);
+            }
+        }
     }
 }
 
 #[test]
 fn the_sample_manifest_round_trips_cleanly() {
     let manifest = sample_manifest();
-    let parsed = Manifest::parse(&manifest.to_json()).expect("round trip");
-    assert_eq!(parsed.completed, manifest.completed);
-    assert_eq!(parsed.poisoned, manifest.poisoned);
-    assert_eq!(parsed.timed_out, manifest.timed_out);
-    assert_eq!(parsed.quarantined, manifest.quarantined);
+    let (parsed, dropped) = Manifest::salvage(&manifest.to_log()).expect("round trip");
+    assert_eq!(dropped, 0);
+    assert_eq!(parsed, manifest);
 }
