@@ -14,10 +14,11 @@
 //! ```
 //!
 //! [`Memory`] is the architectural backing store: a sparse, line-granular
-//! map from line address to 64 data bytes. The cache hierarchy only tracks
-//! *presence* and metadata of lines; data values always come from this
-//! store, so secret-dependent address computation in attack programs works
-//! exactly as it would on real hardware.
+//! map from line address to 64 data bytes, plus dense copy-on-write word
+//! regions for large tables ([`Memory::map_words`]). The cache hierarchy
+//! only tracks *presence* and metadata of lines; data values always come
+//! from this store, so secret-dependent address computation in attack
+//! programs works exactly as it would on real hardware.
 //!
 //! [`MemoryLayout`] carves named, line-aligned arrays out of the address
 //! space — the probe array `P`, the victim array `A`, the bound variable

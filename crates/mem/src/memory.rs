@@ -1,9 +1,14 @@
-//! Sparse, line-granular architectural backing store.
+//! Line-granular architectural backing store: a sparse line map plus
+//! dense, copy-on-write word regions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::hash::BuildFxHasher;
 use crate::{Addr, LineAddr, CACHE_LINE_BYTES};
+
+/// 64-bit words per cache line.
+const WORDS_PER_LINE: usize = CACHE_LINE_BYTES as usize / 8;
 
 /// The architectural memory of the simulated machine.
 ///
@@ -11,15 +16,34 @@ use crate::{Addr, LineAddr, CACHE_LINE_BYTES};
 /// truth for data values; caches only track which lines are resident, so a
 /// rollback of cache *state* never needs to touch data.
 ///
+/// Data lives in one of two stores, and every line in exactly one of
+/// them: a sparse map from line address to 64 bytes, and a short list of
+/// dense, line-aligned word regions installed by [`Memory::map_words`].
+/// A region starts out sharing its words with whoever mapped them (a
+/// workload's table is built once and mapped into every core that runs
+/// it); the first store into it copies the words into a private buffer,
+/// so no store ever reaches another memory. Loads and stores check the
+/// regions first: one pointer hop to the words, and no reference-count
+/// traffic, because the sharing is resolved once per region rather than
+/// once per access.
+///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use unxpec_mem::{Addr, Memory};
 ///
 /// let mut mem = Memory::new();
 /// mem.write_u64(Addr::new(0x100), 42);
 /// assert_eq!(mem.read_u64(Addr::new(0x100)), 42);
 /// assert_eq!(mem.read_u64(Addr::new(0x108)), 0);
+///
+/// let table: Arc<[u64]> = (0..16).collect();
+/// mem.map_words(Addr::new(0x1000), Arc::clone(&table));
+/// assert_eq!(mem.read_u64(Addr::new(0x1008)), 1);
+/// mem.write_u64(Addr::new(0x1008), 7); // copies the region, not `table`
+/// assert_eq!(mem.read_u64(Addr::new(0x1008)), 7);
+/// assert_eq!(table[1], 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
@@ -27,6 +51,62 @@ pub struct Memory {
     // critical path of every simulated load and store, and its order is
     // never observable, so SipHash buys nothing here.
     lines: HashMap<LineAddr, [u8; CACHE_LINE_BYTES as usize], BuildFxHasher>,
+    /// Dense regions, disjoint from each other and from `lines`.
+    regions: Vec<Region>,
+}
+
+/// One dense, line-aligned run of little-endian words.
+#[derive(Debug, Clone)]
+struct Region {
+    /// Byte address of the first word (line aligned).
+    base: u64,
+    /// Length in bytes (a whole number of lines).
+    len: u64,
+    words: Words,
+}
+
+/// A region's words: shared until its first store, private after.
+#[derive(Debug, Clone)]
+enum Words {
+    Shared(Arc<[u64]>),
+    Owned(Box<[u64]>),
+}
+
+impl Region {
+    /// Index of the word holding `addr`, if the region covers it.
+    #[inline]
+    fn index(&self, addr: Addr) -> Option<usize> {
+        let off = addr.raw().wrapping_sub(self.base);
+        (off < self.len).then_some((off / 8) as usize)
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Shared(words) => words,
+            Words::Owned(words) => words,
+        }
+    }
+
+    /// The word at `index`, copying a shared region to a private one
+    /// first.
+    #[inline]
+    fn word_mut(&mut self, index: usize) -> Option<&mut u64> {
+        if let Words::Shared(shared) = &self.words {
+            self.words = Words::Owned(Box::from(&shared[..]));
+        }
+        match &mut self.words {
+            Words::Owned(words) => words.get_mut(index),
+            Words::Shared(_) => None,
+        }
+    }
+
+    /// Whether the region shares any line in `first..first + count`.
+    fn overlaps_lines(&self, first: u64, count: u64) -> bool {
+        let own_first = self.base / CACHE_LINE_BYTES;
+        let own_count = self.len / CACHE_LINE_BYTES;
+        first < own_first + own_count && own_first < first + count
+    }
 }
 
 impl Memory {
@@ -35,8 +115,27 @@ impl Memory {
         Self::default()
     }
 
+    /// The word holding `addr` if a region covers it.
+    #[inline]
+    fn region_word(&self, addr: Addr) -> Option<u64> {
+        self.regions
+            .iter()
+            .find_map(|r| r.index(addr).and_then(|i| r.words().get(i).copied()))
+    }
+
+    /// The word holding `addr`, mutably, if a region covers it.
+    #[inline]
+    fn region_word_mut(&mut self, addr: Addr) -> Option<&mut u64> {
+        self.regions
+            .iter_mut()
+            .find_map(|r| r.index(addr).and_then(|i| r.word_mut(i)))
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, addr: Addr) -> u8 {
+        if let Some(word) = self.region_word(addr) {
+            return word.to_le_bytes()[(addr.raw() % 8) as usize];
+        }
         match self.lines.get(&addr.line()) {
             Some(line) => line[addr.line_offset() as usize],
             None => 0,
@@ -45,6 +144,12 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: Addr, value: u8) {
+        if let Some(word) = self.region_word_mut(addr) {
+            let mut bytes = word.to_le_bytes();
+            bytes[(addr.raw() % 8) as usize] = value;
+            *word = u64::from_le_bytes(bytes);
+            return;
+        }
         let line = self.lines.entry(addr.line()).or_insert([0; 64]);
         line[addr.line_offset() as usize] = value;
     }
@@ -58,6 +163,9 @@ impl Memory {
     /// in program construction.
     pub fn read_u64(&self, addr: Addr) -> u64 {
         assert!(addr.is_aligned(8), "misaligned 8-byte load at {addr}");
+        if let Some(word) = self.region_word(addr) {
+            return word;
+        }
         match self.lines.get(&addr.line()) {
             Some(line) => {
                 let off = addr.line_offset() as usize;
@@ -76,14 +184,65 @@ impl Memory {
     /// Panics if `addr` is not 8-byte aligned.
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
         assert!(addr.is_aligned(8), "misaligned 8-byte store at {addr}");
+        if let Some(word) = self.region_word_mut(addr) {
+            *word = value;
+            return;
+        }
         let line = self.lines.entry(addr.line()).or_insert([0; 64]);
         let off = addr.line_offset() as usize;
         line[off..off + 8].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Number of lines that have ever been written.
+    /// Makes `words[i]` the word at `base + 8 * i`, exactly as if each
+    /// were written with [`Memory::write_u64`].
+    ///
+    /// When `base` is line aligned, `words` fills whole lines, and none of
+    /// those lines has been written or mapped before, no word is copied:
+    /// the words are mapped as a shared region and copied only on the
+    /// first store into it, so other memories mapping the same `Arc`
+    /// never see that store. Otherwise it falls back to word-by-word
+    /// writes.
+    ///
+    /// # Panics
+    ///
+    /// Like [`Memory::write_u64`], panics if `base` is not 8-byte
+    /// aligned and `words` is not empty.
+    pub fn map_words(&mut self, base: Addr, words: Arc<[u64]>) {
+        // A `[u64]` spans at most `isize::MAX` bytes, so this cannot wrap.
+        let len = words.len() as u64 * 8;
+        let mappable = base.line_offset() == 0
+            && !words.is_empty()
+            && words.len().is_multiple_of(WORDS_PER_LINE)
+            && base.raw().checked_add(len).is_some()
+            && !self.holds_any_line(base.line().raw(), len / CACHE_LINE_BYTES);
+        if mappable {
+            self.regions.push(Region {
+                base: base.raw(),
+                len,
+                words: Words::Shared(words),
+            });
+        } else {
+            for (i, &word) in words.iter().enumerate() {
+                self.write_u64(Addr::new(base.raw().wrapping_add(i as u64 * 8)), word);
+            }
+        }
+    }
+
+    /// Whether any line in `first..first + count` already lives in
+    /// either store. Costs one pass over the written lines, which is
+    /// empty or small wherever a table is mapped.
+    fn holds_any_line(&self, first: u64, count: u64) -> bool {
+        self.regions.iter().any(|r| r.overlaps_lines(first, count))
+            || self
+                .lines
+                .keys()
+                .any(|line| line.raw().wrapping_sub(first) < count)
+    }
+
+    /// Number of lines that have ever been written or mapped.
     pub fn resident_lines(&self) -> usize {
-        self.lines.len()
+        let mapped: u64 = self.regions.iter().map(|r| r.len / CACHE_LINE_BYTES).sum();
+        self.lines.len() + mapped as usize
     }
 }
 
@@ -129,5 +288,89 @@ mod tests {
         mem.write_u64(a, u64::MAX);
         mem.write_u64(a, 7);
         assert_eq!(mem.read_u64(a), 7);
+    }
+
+    fn table(lines: u64) -> Arc<[u64]> {
+        (0..lines * 8).map(|i| i * 3 + 1).collect()
+    }
+
+    #[test]
+    fn mapped_words_read_back_and_count_as_resident() {
+        let mut mem = Memory::new();
+        mem.write_u8(Addr::new(0), 9);
+        mem.map_words(Addr::new(0x1000), table(4));
+        assert_eq!(mem.read_u64(Addr::new(0x1000)), 1);
+        assert_eq!(mem.read_u64(Addr::new(0x10f8)), 31 * 3 + 1);
+        assert_eq!(mem.read_u64(Addr::new(0x1100)), 0, "one past the region");
+        assert_eq!(mem.resident_lines(), 5);
+    }
+
+    #[test]
+    fn store_into_a_mapped_region_reaches_neither_a_clone_nor_the_arc() {
+        let shared = table(2);
+        let mut mem = Memory::new();
+        mem.map_words(Addr::new(0x2000), Arc::clone(&shared));
+        let before = mem.clone();
+        mem.write_u64(Addr::new(0x2008), 0xfeed);
+        assert_eq!(mem.read_u64(Addr::new(0x2008)), 0xfeed);
+        assert_eq!(before.read_u64(Addr::new(0x2008)), 4);
+        assert_eq!(shared[1], 4);
+
+        // And the other way round: the clone's stores stay in the clone.
+        let mut other = before.clone();
+        other.write_u8(Addr::new(0x2010), 0xab);
+        assert_eq!(before.read_u8(Addr::new(0x2010)), 7);
+        assert_eq!(mem.read_u8(Addr::new(0x2010)), 7);
+        assert_eq!(shared[2], 7);
+    }
+
+    #[test]
+    fn byte_write_inside_a_region_round_trips_through_read_u64() {
+        let mut mem = Memory::new();
+        mem.map_words(Addr::new(0x3000), table(1));
+        mem.write_u8(Addr::new(0x300b), 0xcd);
+        // Word 1 held 4; its byte 3 (little-endian) is now 0xcd.
+        assert_eq!(mem.read_u64(Addr::new(0x3008)), 0xcd00_0004);
+        assert_eq!(mem.read_u8(Addr::new(0x300b)), 0xcd);
+        assert_eq!(mem.read_u8(Addr::new(0x3008)), 4);
+    }
+
+    #[test]
+    fn mapping_over_written_or_mapped_lines_writes_word_by_word() {
+        let mut mem = Memory::new();
+        mem.write_u64(Addr::new(0x4040), 0xaa);
+        mem.map_words(Addr::new(0x4000), table(2));
+        assert_eq!(mem.read_u64(Addr::new(0x4040)), 8 * 3 + 1);
+        assert_eq!(mem.resident_lines(), 2);
+
+        // Overlapping an existing region: the second mapping's words win.
+        let shared = table(2);
+        let mut mem = Memory::new();
+        mem.map_words(Addr::new(0x5000), Arc::clone(&shared));
+        mem.map_words(Addr::new(0x5040), (100..116).collect());
+        assert_eq!(mem.read_u64(Addr::new(0x5038)), 7 * 3 + 1);
+        assert_eq!(mem.read_u64(Addr::new(0x5040)), 100);
+        assert_eq!(mem.read_u64(Addr::new(0x50b8)), 115);
+        assert_eq!(mem.resident_lines(), 3);
+        assert_eq!(shared[8], 25, "the fallback's stores copy the region first");
+    }
+
+    #[test]
+    fn misaligned_or_partial_mappings_match_word_writes() {
+        let mut mapped = Memory::new();
+        let mut written = Memory::new();
+        for (base, words) in [(0x6008u64, table(1)), (0x7000, (1..5).collect())] {
+            mapped.map_words(Addr::new(base), Arc::clone(&words));
+            for (i, &w) in words.iter().enumerate() {
+                written.write_u64(Addr::new(base + i as u64 * 8), w);
+            }
+        }
+        for addr in (0x6000..0x7080).step_by(8) {
+            assert_eq!(
+                mapped.read_u64(Addr::new(addr)),
+                written.read_u64(Addr::new(addr))
+            );
+        }
+        assert_eq!(mapped.resident_lines(), written.resident_lines());
     }
 }

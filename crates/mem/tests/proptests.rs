@@ -2,8 +2,44 @@
 
 #![allow(clippy::disallowed_methods, clippy::disallowed_macros)] // tests are exempt from the no-panic policy
 
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use unxpec_mem::{Addr, LayoutBuilder, LineAddr, Memory, CACHE_LINE_BYTES};
+
+/// Bytes the mapping property reads back after every step: the 192
+/// slots ops start in, plus room for the longest mapping past the last.
+const WINDOW_BYTES: u64 = 2048;
+
+/// A region-free reference for [`Memory`]: every byte ever written, and
+/// the lines they touched.
+#[derive(Default)]
+struct ByteModel {
+    bytes: HashMap<u64, u8>,
+    lines: HashSet<u64>,
+}
+
+impl ByteModel {
+    fn write_u8(&mut self, addr: u64, value: u8) {
+        self.bytes.insert(addr, value);
+        self.lines.insert(addr / CACHE_LINE_BYTES);
+    }
+
+    fn write_u64(&mut self, addr: u64, value: u64) {
+        for (i, byte) in value.to_le_bytes().into_iter().enumerate() {
+            self.write_u8(addr + i as u64, byte);
+        }
+    }
+
+    fn read_u8(&self, addr: u64) -> u8 {
+        self.bytes.get(&addr).copied().unwrap_or(0)
+    }
+
+    fn read_u64(&self, addr: u64) -> u64 {
+        u64::from_le_bytes(std::array::from_fn(|i| self.read_u8(addr + i as u64)))
+    }
+}
 
 proptest! {
     #[test]
@@ -72,6 +108,64 @@ proptest! {
                     "arrays {i} overlap lines"
                 );
             }
+        }
+    }
+
+    /// `map_words` is observably the same as writing its words one by
+    /// one, whether it maps a region (line-aligned whole lines over
+    /// fresh memory) or falls back (misaligned, partial lines, or
+    /// overlapping earlier writes and regions). Stores into a mapped
+    /// region never reach the mapped `Arc`.
+    #[test]
+    fn mapped_words_read_back_like_written_words(
+        ops in proptest::collection::vec(
+            (0u8..4, 0u64..192, any::<u64>(), 0usize..33),
+            1..40,
+        )
+    ) {
+        let mut mem = Memory::new();
+        let mut model = ByteModel::default();
+        let mut mapped: Vec<(Arc<[u64]>, Vec<u64>)> = Vec::new();
+        for (kind, slot, value, len) in ops {
+            match kind {
+                0 => {
+                    let addr = slot * 8 + value % 8;
+                    mem.write_u8(Addr::new(addr), value as u8);
+                    model.write_u8(addr, value as u8);
+                }
+                1 => {
+                    mem.write_u64(Addr::new(slot * 8), value);
+                    model.write_u64(slot * 8, value);
+                }
+                _ => {
+                    // Kind 2 maps whole lines at a line boundary; kind 3
+                    // any word count at any word boundary.
+                    let (base, count) = if kind == 2 {
+                        ((slot & !7) * 8, 8 * (1 + len % 4))
+                    } else {
+                        (slot * 8, len)
+                    };
+                    let words: Vec<u64> = (0..count as u64)
+                        .map(|i| value.rotate_left(i as u32) ^ i)
+                        .collect();
+                    let shared: Arc<[u64]> = words.clone().into();
+                    mem.map_words(Addr::new(base), Arc::clone(&shared));
+                    for (i, &word) in words.iter().enumerate() {
+                        model.write_u64(base + i as u64 * 8, word);
+                    }
+                    mapped.push((shared, words));
+                }
+            }
+            for addr in (0..WINDOW_BYTES).step_by(8) {
+                prop_assert_eq!(mem.read_u64(Addr::new(addr)), model.read_u64(addr), "word at {:#x}", addr);
+            }
+            for addr in 0..WINDOW_BYTES {
+                prop_assert_eq!(mem.read_u8(Addr::new(addr)), model.read_u8(addr), "byte at {:#x}", addr);
+            }
+            prop_assert_eq!(mem.resident_lines(), model.lines.len());
+        }
+        for (shared, words) in &mapped {
+            prop_assert_eq!(&shared[..], &words[..]);
         }
     }
 }

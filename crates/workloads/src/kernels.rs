@@ -1,5 +1,8 @@
 //! Kernel generators.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use rand::rngs::SmallRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use unxpec_cpu::{Cond, Core, Cycle, Program, ProgramBuilder, Reg};
@@ -60,7 +63,11 @@ impl KernelSpec {
     }
 }
 
-/// A generated workload: spec + assembled program.
+/// A generated workload: spec, assembled program and data table.
+///
+/// The table is built from the spec's seed on the first
+/// [`Workload::install`] and kept; clones made after that share it.
+///
 /// # Examples
 ///
 /// ```
@@ -74,10 +81,21 @@ impl KernelSpec {
 /// let r = core.run_for(mcf.program(), 2_000);
 /// assert!(r.stats.ipc() < 0.5, "pointer chasing is memory bound");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Workload {
     spec: KernelSpec,
     program: Program,
+    table: OnceLock<Arc<[u64]>>,
+}
+
+impl fmt::Debug for Workload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The table can hold half a million words; leave it out.
+        f.debug_struct("Workload")
+            .field("spec", &self.spec)
+            .field("program", &self.program)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Workload {
@@ -106,7 +124,11 @@ impl Workload {
         );
         assert!(unroll > 0, "unroll factor must be at least 1");
         let program = build_program(&spec, unroll);
-        Workload { spec, program }
+        Workload {
+            spec,
+            program,
+            table: OnceLock::new(),
+        }
     }
 
     /// The kernel's display name.
@@ -125,27 +147,29 @@ impl Workload {
         &self.program
     }
 
-    /// Writes the data table into `core`'s memory.
+    /// Simulated address of the table's first word.
+    pub fn table_base(&self) -> Addr {
+        Addr::new(TABLE_BASE)
+    }
+
+    /// The data table, one word per element, built from the spec's seed
+    /// on first use.
+    pub fn table(&self) -> &Arc<[u64]> {
+        self.table.get_or_init(|| build_table(&self.spec))
+    }
+
+    /// Maps the data table into `core`'s memory at
+    /// [`Workload::table_base`].
+    ///
+    /// The first install builds the table (for the largest SPEC-like
+    /// kernel, `mcf_r`, half a million words from its RNG); every later
+    /// one maps the same words copy-on-write, with no per-word work. The
+    /// core's first store into the table copies the core's mapping to a
+    /// private buffer, so no store reaches the shared table or another
+    /// core.
     pub fn install(&self, core: &mut Core) {
-        let mut rng = SmallRng::seed_from_u64(self.spec.seed);
-        let n = self.spec.elements();
-        if self.spec.pointer_chase {
-            // A single random cycle covering every element, so the chase
-            // visits the whole working set.
-            let mut perm: Vec<u64> = (0..n).collect();
-            perm[1..].shuffle(&mut rng);
-            let mem = core.mem_mut();
-            for i in 0..n as usize {
-                let from = perm[i];
-                let to = perm[(i + 1) % n as usize];
-                mem.write_u64(Addr::new(TABLE_BASE + from * 8), to);
-            }
-        } else {
-            let mem = core.mem_mut();
-            for w in 0..n {
-                mem.write_u64(Addr::new(TABLE_BASE + w * 8), rng.gen());
-            }
-        }
+        core.mem_mut()
+            .map_words(self.table_base(), Arc::clone(self.table()));
     }
 
     /// Installs the table, runs `warmup` committed instructions, then
@@ -156,6 +180,26 @@ impl Workload {
         let r = core.run_with_milestone(self.program(), Some(warmup), warmup + measure);
         let start = r.stats.milestone_cycle.unwrap_or(0);
         r.stats.cycles - start
+    }
+}
+
+/// The kernel's table words: random values, or for a pointer chase the
+/// successor of each element along one random cycle through all of them.
+fn build_table(spec: &KernelSpec) -> Arc<[u64]> {
+    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    let n = spec.elements() as usize;
+    if spec.pointer_chase {
+        // A single random cycle covering every element, so the chase
+        // visits the whole working set.
+        let mut perm: Vec<u64> = (0..n as u64).collect();
+        perm[1..].shuffle(&mut rng);
+        let mut table = vec![0; n];
+        for (i, &from) in perm.iter().enumerate() {
+            table[from as usize] = perm[(i + 1) % n];
+        }
+        table.into()
+    } else {
+        (0..n).map(|_| rng.gen()).collect()
     }
 }
 
