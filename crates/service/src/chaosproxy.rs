@@ -36,6 +36,7 @@ use std::time::Duration;
 use unxpec::experiments::seeding::indexed;
 
 use crate::error::ServiceError;
+use crate::protocol;
 
 /// Per-frame fault probabilities, in permille (0–1000). The rolls are
 /// evaluated in declaration order against one uniform draw, so the
@@ -191,7 +192,13 @@ impl ChaosProxy {
                         break;
                     }
                     let Ok(client) = conn else { continue };
-                    let Ok(server) = TcpStream::connect(&upstream) else {
+                    // Both legs without Nagle, like the service's own
+                    // ends: the proxy must not add a stall they removed.
+                    let server = client
+                        .set_nodelay(true)
+                        .ok()
+                        .and_then(|()| protocol::connect(&upstream).ok());
+                    let Some(server) = server else {
                         let _ = client.shutdown(Shutdown::Both);
                         continue;
                     };

@@ -17,7 +17,7 @@ use unxpec_telemetry::json::Value;
 use unxpec_telemetry::{Event, Telemetry};
 
 use crate::error::ServiceError;
-use crate::protocol::{parse_response, read_frame, render_request, Request, MAX_FRAME_BYTES};
+use crate::protocol::{self, parse_response, read_frame, render_request, Request, MAX_FRAME_BYTES};
 
 /// What `submit` returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +77,10 @@ fn status_from(doc: &Value) -> RemoteStatus {
 }
 
 impl Client {
-    /// Connects to a running service at `addr` (e.g. `127.0.0.1:9733`).
+    /// Connects to a running service at `addr` (e.g. `127.0.0.1:9733`),
+    /// with `TCP_NODELAY` set.
     pub fn connect(addr: &str) -> Result<Client, ServiceError> {
-        let stream = TcpStream::connect(addr).map_err(|e| ServiceError::Io(e.to_string()))?;
+        let stream = protocol::connect(addr)?;
         let reader = stream
             .try_clone()
             .map_err(|e| ServiceError::Io(e.to_string()))?;
@@ -375,5 +376,19 @@ impl ResilientClient {
     /// Cancels the job's pending trials.
     pub fn cancel(&mut self, job: &str) -> Result<u64, ServiceError> {
         self.with_conn(&std::cell::Cell::new(0), |c| c.cancel(job))
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let client = Client::connect(&addr).unwrap();
+        assert!(matches!(client.writer.nodelay(), Ok(true)));
     }
 }

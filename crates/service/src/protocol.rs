@@ -29,8 +29,13 @@
 //! (trial keys, digests, metrics, rendered text in enumeration order),
 //! which is what makes cache-served results byte-identical to a fresh
 //! run; execution metadata (timings, cached counts) lives in `status`.
+//!
+//! Both ends set `TCP_NODELAY`: every frame is one small write that
+//! the peer answers, the pattern where Nagle's algorithm and delayed
+//! ACKs stall each exchange by tens of ms.
 
 use std::io::BufRead;
+use std::net::TcpStream;
 
 use unxpec_telemetry::json::{self, escape, Value};
 
@@ -44,6 +49,16 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// leaves an order of magnitude of headroom while keeping the worst
 /// case a hostile peer can make either side buffer strictly bounded.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Opens a protocol connection to `addr` (e.g. `127.0.0.1:9733`) with
+/// `TCP_NODELAY` set, so a request frame leaves at once instead of
+/// waiting for the ACK of the previous one.
+pub(crate) fn connect(addr: &str) -> Result<TcpStream, ServiceError> {
+    let io = |e: std::io::Error| ServiceError::Io(e.to_string());
+    let stream = TcpStream::connect(addr).map_err(io)?;
+    stream.set_nodelay(true).map_err(io)?;
+    Ok(stream)
+}
 
 /// Reads one `\n`-terminated frame from `reader`, refusing to buffer
 /// more than `limit` bytes.

@@ -10,7 +10,10 @@
 //! * Each scheduling tick walks tenants in first-appearance order,
 //!   starting one past the tenant that got the previous slot, and takes
 //!   at most one trial per visit — dispatch order interleaves tenants
-//!   even when their queue depths differ by orders of magnitude.
+//!   even when their queue depths differ by orders of magnitude. The
+//!   walk visits only tenants with pending work, found through an index
+//!   of pending jobs, so a pass costs O(tenants with pending work), not
+//!   O(every job the server has seen).
 //! * Per-tenant concurrency inside a batch is additionally bounded by
 //!   [`ServiceConfig::max_tenant_inflight`].
 //! * Every candidate trial is first looked up in the
@@ -27,7 +30,7 @@
 //! how tests drive it deterministically. [`TcpFront`] is the
 //! line-delimited JSON listener described in [`crate::protocol`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -160,6 +163,8 @@ struct JobEntry {
     /// Numeric part of `id` (`"j7"` → 7) — what the journal records.
     num: u64,
     tenant: String,
+    /// The tenant's position in the round-robin ring.
+    ring: usize,
     spec: SweepSpec,
     /// The spec exactly as submitted: journaled verbatim so replay
     /// re-parses the same text, and summed for the byte budget.
@@ -176,11 +181,37 @@ struct JobEntry {
     events: Vec<String>,
     submitted: Instant,
     cancelled: bool,
-    /// Whether the job's completion was already counted into metrics.
-    counted: bool,
+    /// No slot before this index is `Pending`. Slots never return to
+    /// `Pending`, so the cursor only moves forward.
+    cursor: usize,
 }
 
 impl JobEntry {
+    /// A job with every slot pending. Its id and number are assigned
+    /// when it joins the job table ([`SchedulerState::push_job`]).
+    fn new(tenant: &str, spec: SweepSpec, spec_text: &str, trials: Vec<Trial>) -> JobEntry {
+        let cells = trials
+            .iter()
+            .map(|t| cell_digest(&spec, &t.experiment, &t.variant, t.seed_index))
+            .collect();
+        JobEntry {
+            id: String::new(),
+            num: 0,
+            tenant: tenant.to_string(),
+            ring: 0,
+            sub_digest: submission_digest(&spec),
+            spec,
+            spec_text: spec_text.to_string(),
+            slots: vec![Slot::Pending; trials.len()],
+            trials,
+            cells,
+            events: Vec::new(),
+            submitted: Instant::now(),
+            cancelled: false,
+            cursor: 0,
+        }
+    }
+
     fn finished(&self) -> bool {
         !self
             .slots
@@ -188,8 +219,16 @@ impl JobEntry {
             .any(|s| matches!(s, Slot::Pending | Slot::Running))
     }
 
-    fn next_pending(&self) -> Option<usize> {
-        self.slots.iter().position(|s| matches!(s, Slot::Pending))
+    /// The first `Pending` slot, advancing the cursor past the others.
+    fn next_pending(&mut self) -> Option<usize> {
+        while self
+            .slots
+            .get(self.cursor)
+            .is_some_and(|s| !matches!(s, Slot::Pending))
+        {
+            self.cursor += 1;
+        }
+        (self.cursor < self.slots.len()).then_some(self.cursor)
     }
 
     /// Appends the terminal-transition event for `slot` to the job's
@@ -254,15 +293,29 @@ impl JobStatus {
 
 #[derive(Debug, Default)]
 struct SchedulerState {
+    /// Every job the server has seen, in submission order. Jobs are
+    /// never removed, so an index into `jobs` stays valid for the
+    /// server's lifetime; the maps below hold such indices.
     jobs: Vec<JobEntry>,
     next_job: u64,
-    /// Tenants in first-appearance order — the round-robin ring.
-    tenants: Vec<String>,
+    /// Tenant → its position in the round-robin ring, which is
+    /// first-appearance order.
+    ring_of: HashMap<String, usize>,
+    /// Pending work: ring position → that tenant's jobs that still hold
+    /// a `Pending` slot, in submission order. Tenants without one have
+    /// no entry, and a front job's cursor is at a `Pending` slot.
+    pending: BTreeMap<usize, VecDeque<usize>>,
+    /// Jobs whose completion is not yet counted into metrics: every
+    /// unfinished job, plus any that finished since the last tick.
+    uncounted: BTreeSet<usize>,
+    /// Job number → the job.
+    by_num: HashMap<u64, usize>,
+    /// `(tenant, submission digest)` → its jobs: the re-attach candidates.
+    by_submission: HashMap<(String, u64), Vec<usize>>,
     /// Cross-job memo: cell digest → the `(job, slot)` holding a
-    /// completed output for it. Jobs are never removed from `jobs`, so
-    /// the indices stay valid for the server's lifetime. This is what
-    /// lets a later job subscribe to an earlier job's result even when
-    /// no disk cache is configured (or the entry was evicted).
+    /// completed output for it. This is what lets a later job subscribe
+    /// to an earlier job's result even when no disk cache is configured
+    /// (or the entry was evicted).
     completed_cells: HashMap<u64, (usize, usize)>,
     /// Ring index of the tenant that gets the *next* slot.
     rr: usize,
@@ -273,7 +326,7 @@ struct SchedulerState {
     /// Consecutive poison/timeout count per cell digest.
     cell_failures: HashMap<u64, u32>,
     /// Cells quarantined after repeated failures.
-    quarantined: std::collections::HashSet<u64>,
+    quarantined: HashSet<u64>,
     /// Draining: stop admitting new work, finish (or leave journaled)
     /// what is in flight. Set by [`Service::begin_drain`] on SIGTERM.
     draining: bool,
@@ -281,6 +334,84 @@ struct SchedulerState {
 }
 
 const DISPATCH_LOG_CAP: usize = 4096;
+
+impl SchedulerState {
+    /// Adds `entry` to the job table as job `num` (a new tenant joins
+    /// the end of the ring) and returns its index. The caller queues it
+    /// for the scheduler with [`SchedulerState::enqueue`].
+    fn push_job(&mut self, num: u64, mut entry: JobEntry) -> usize {
+        let idx = self.jobs.len();
+        entry.num = num;
+        entry.id = format!("j{num}");
+        let next_ring = self.ring_of.len();
+        entry.ring = *self
+            .ring_of
+            .entry(entry.tenant.clone())
+            .or_insert(next_ring);
+        self.by_num.entry(num).or_insert(idx);
+        self.by_submission
+            .entry((entry.tenant.clone(), entry.sub_digest))
+            .or_default()
+            .push(idx);
+        self.jobs.push(entry);
+        idx
+    }
+
+    /// Registers job `idx` as open, and as pending work if it has a
+    /// `Pending` slot. Jobs are enqueued in submission order.
+    fn enqueue(&mut self, idx: usize) {
+        self.uncounted.insert(idx);
+        if self.jobs[idx].next_pending().is_some() {
+            let ring = self.jobs[idx].ring;
+            self.pending.entry(ring).or_default().push_back(idx);
+        }
+    }
+
+    /// Restores the `pending` invariant for the tenant at `ring` after
+    /// its front job's next trial left `Pending`.
+    fn settle(&mut self, ring: usize) {
+        let Some(queue) = self.pending.get_mut(&ring) else {
+            return;
+        };
+        while let Some(&idx) = queue.front() {
+            if self.jobs[idx].next_pending().is_some() {
+                return;
+            }
+            queue.pop_front();
+        }
+        self.pending.remove(&ring);
+    }
+
+    /// Marks job `idx` cancelled and its pending trials skipped, and
+    /// drops it from `pending`. Returns the number skipped.
+    fn cancel_job(&mut self, idx: usize) -> usize {
+        let entry = &mut self.jobs[idx];
+        entry.cancelled = true;
+        let mut skipped = 0;
+        for s in entry.cursor..entry.slots.len() {
+            if matches!(entry.slots[s], Slot::Pending) {
+                entry.slots[s] = Slot::Skipped;
+                entry.push_event(s);
+                skipped += 1;
+            }
+        }
+        let ring = entry.ring;
+        if let Some(queue) = self.pending.get_mut(&ring) {
+            queue.retain(|&j| j != idx);
+            if queue.is_empty() {
+                self.pending.remove(&ring);
+            }
+        }
+        skipped
+    }
+
+    /// The index of the job with id `id` (`"j7"`).
+    fn job_index(&self, id: &str) -> Option<usize> {
+        let num = id.strip_prefix('j')?.parse::<u64>().ok()?;
+        let idx = *self.by_num.get(&num)?;
+        (self.jobs[idx].id == id).then_some(idx)
+    }
+}
 
 struct Inner {
     state: Mutex<SchedulerState>,
@@ -390,33 +521,11 @@ impl Service {
                         dropped += 1;
                         continue;
                     };
-                    let cells: Vec<u64> = trials
-                        .iter()
-                        .map(|t| cell_digest(&spec, &t.experiment, &t.variant, t.seed_index))
-                        .collect();
-                    let n = trials.len();
                     st.next_job = st.next_job.max(*job);
-                    if !st.tenants.iter().any(|t| t == tenant) {
-                        st.tenants.push(tenant.clone());
-                    }
-                    st.jobs.push(JobEntry {
-                        id: format!("j{job}"),
-                        num: *job,
-                        tenant: tenant.clone(),
-                        sub_digest: submission_digest(&spec),
-                        spec,
-                        spec_text: spec_text.clone(),
-                        trials,
-                        cells,
-                        slots: vec![Slot::Pending; n],
-                        events: Vec::new(),
-                        submitted: Instant::now(),
-                        cancelled: false,
-                        counted: false,
-                    });
+                    st.push_job(*job, JobEntry::new(tenant, spec, spec_text, trials));
                 }
                 JournalRecord::CellDone { job, slot, cell } => {
-                    let Some(idx) = st.jobs.iter().position(|j| j.num == *job) else {
+                    let Some(&idx) = st.by_num.get(job) else {
                         dropped += 1;
                         continue;
                     };
@@ -461,33 +570,28 @@ impl Service {
                     }
                 }
                 JournalRecord::Cancel { job } => {
-                    let Some(idx) = st.jobs.iter().position(|j| j.num == *job) else {
+                    let Some(&idx) = st.by_num.get(job) else {
                         dropped += 1;
                         continue;
                     };
-                    st.jobs[idx].cancelled = true;
-                    for s in 0..st.jobs[idx].slots.len() {
-                        if matches!(st.jobs[idx].slots[s], Slot::Pending) {
-                            st.jobs[idx].slots[s] = Slot::Skipped;
-                            st.jobs[idx].push_event(s);
-                        }
-                    }
+                    st.cancel_job(idx);
                 }
             }
         }
-        // Jobs that came back fully finished were already counted by
-        // the previous lifetime; don't count their completion twice.
-        for entry in &mut st.jobs {
-            if entry.finished() {
-                entry.counted = true;
+        // Queue what the previous lifetime left open. Jobs that came
+        // back fully finished were already counted by that lifetime;
+        // don't count their completion twice.
+        let mut requeued = 0u64;
+        for idx in 0..st.jobs.len() {
+            if !st.jobs[idx].finished() {
+                requeued += st.jobs[idx]
+                    .slots
+                    .iter()
+                    .filter(|s| matches!(s, Slot::Pending))
+                    .count() as u64;
+                st.enqueue(idx);
             }
         }
-        let requeued: u64 = st
-            .jobs
-            .iter()
-            .flat_map(|j| j.slots.iter())
-            .filter(|s| matches!(s, Slot::Pending))
-            .count() as u64;
         let jobs = st.jobs.len() as u64;
         drop(st);
         let records = recovery.records.len() as u64;
@@ -558,23 +662,19 @@ impl Service {
         if let Some(mode) = self.inner.config.mode_override {
             spec.mode = mode;
         }
-        let sub_digest = submission_digest(&spec);
         let trials = spec
             .enumerate(&self.inner.registry)
             .map_err(|e| ServiceError::Spec(format!("{e:?}")))?;
-        let cells: Vec<u64> = trials
-            .iter()
-            .map(|t| cell_digest(&spec, &t.experiment, &t.variant, t.seed_index))
-            .collect();
-        let n = trials.len();
+        let entry = JobEntry::new(tenant, spec, spec_text, trials);
+        let n = entry.trials.len();
         let mut st = lock(&self.inner.state);
         // Re-attach before admission: a resuming client must find its
         // job even when the server is saturated or draining.
-        if let Some(existing) = st
-            .jobs
-            .iter()
-            .find(|j| j.tenant == tenant && j.sub_digest == sub_digest && !j.cancelled)
-        {
+        let existing = st
+            .by_submission
+            .get(&(tenant.to_string(), entry.sub_digest))
+            .and_then(|jobs| jobs.iter().map(|&i| &st.jobs[i]).find(|j| !j.cancelled));
+        if let Some(existing) = existing {
             let found = (existing.id.clone(), existing.trials.len());
             drop(st);
             self.hub_inc("service.jobs.reattached", 1);
@@ -583,7 +683,6 @@ impl Service {
         self.admit(&st, tenant, spec_text.len())?;
         st.next_job += 1;
         let num = st.next_job;
-        let id = format!("j{num}");
         // Write-ahead: the journal holds the submission before the
         // scheduler can see it, so an acknowledged job survives kill -9.
         if let Some(journal) = &self.inner.journal {
@@ -597,24 +696,9 @@ impl Service {
                 return Err(e);
             }
         }
-        if !st.tenants.iter().any(|t| t == tenant) {
-            st.tenants.push(tenant.to_string());
-        }
-        st.jobs.push(JobEntry {
-            id: id.clone(),
-            num,
-            tenant: tenant.to_string(),
-            sub_digest,
-            spec,
-            spec_text: spec_text.to_string(),
-            trials,
-            cells,
-            slots: vec![Slot::Pending; n],
-            events: Vec::new(),
-            submitted: Instant::now(),
-            cancelled: false,
-            counted: false,
-        });
+        let idx = st.push_job(num, entry);
+        st.enqueue(idx);
+        let id = st.jobs[idx].id.clone();
         drop(st);
         self.hub_inc("service.jobs.submitted", 1);
         self.inner.wake.notify_all();
@@ -653,7 +737,12 @@ impl Service {
         if st.draining {
             return Err(reject("draining", 4));
         }
-        let open: Vec<&JobEntry> = st.jobs.iter().filter(|j| !j.finished()).collect();
+        let open: Vec<&JobEntry> = st
+            .uncounted
+            .iter()
+            .map(|&i| &st.jobs[i])
+            .filter(|j| !j.finished())
+            .collect();
         if admission.max_open_jobs > 0 && open.len() >= admission.max_open_jobs {
             return Err(reject("jobs", 1));
         }
@@ -721,22 +810,11 @@ impl Service {
     pub fn cancel(&self, job: &str) -> Result<usize, ServiceError> {
         let mut st = lock(&self.inner.state);
         let index = st
-            .jobs
-            .iter()
-            .position(|j| j.id == job)
+            .job_index(job)
             .ok_or_else(|| ServiceError::UnknownJob(job.to_string()))?;
-        let entry = &mut st.jobs[index];
-        entry.cancelled = true;
-        let mut skipped = 0;
-        for s in 0..entry.slots.len() {
-            if matches!(entry.slots[s], Slot::Pending) {
-                entry.slots[s] = Slot::Skipped;
-                entry.push_event(s);
-                skipped += 1;
-            }
-        }
-        let finished = entry.finished();
-        let num = entry.num;
+        let skipped = st.cancel_job(index);
+        let finished = st.jobs[index].finished();
+        let num = st.jobs[index].num;
         if let Some(journal) = &self.inner.journal {
             // Best-effort: a failed cancel append means a restarted
             // server re-enqueues the skipped cells, never loses data.
@@ -811,7 +889,7 @@ impl Service {
         let mut st = lock(&self.inner.state);
         st.draining = true;
         loop {
-            if st.jobs.iter().all(JobEntry::finished) {
+            if st.uncounted.iter().all(|&i| st.jobs[i].finished()) {
                 return true;
             }
             let now = Instant::now();
@@ -856,9 +934,8 @@ impl Drop for Service {
 
 impl Inner {
     fn find<'a>(st: &'a SchedulerState, job: &str) -> Result<&'a JobEntry, ServiceError> {
-        st.jobs
-            .iter()
-            .find(|j| j.id == job)
+        st.job_index(job)
+            .map(|i| &st.jobs[i])
             .ok_or_else(|| ServiceError::UnknownJob(job.to_string()))
     }
 
@@ -891,7 +968,7 @@ impl Inner {
     }
 
     fn has_pending(st: &SchedulerState) -> bool {
-        st.jobs.iter().any(|j| j.next_pending().is_some())
+        !st.pending.is_empty()
     }
 
     fn publish_cache_stats(inner: &Arc<Inner>) {
@@ -922,8 +999,9 @@ impl Inner {
         };
         let mut batch: Vec<BatchItem> = Vec::new();
         let mut waiters: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-        let mut inflight: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut per_tenant: HashMap<String, usize> = HashMap::new();
+        let mut inflight: HashSet<u64> = HashSet::new();
+        // Trials taken this batch, per ring position.
+        let mut per_tenant: HashMap<usize, usize> = HashMap::new();
         let mut resolved = 0usize;
         let mut cache_hits = 0u64;
         let mut memo_hits = 0u64;
@@ -934,31 +1012,34 @@ impl Inner {
         let mut journal_done: Vec<JournalRecord> = Vec::new();
 
         loop {
-            let n_tenants = st.tenants.len();
-            if n_tenants == 0 || batch.len() >= batch_cap {
+            let n_tenants = st.ring_of.len();
+            if st.pending.is_empty() || batch.len() >= batch_cap {
                 break;
             }
             // One pass over the tenant ring, starting at `rr`, taking
             // at most one trial per tenant per visit. The start is
             // fixed before the pass: `rr` itself advances per dispatch.
+            // Tenants without pending work would be passed over, so the
+            // pass visits only those in `pending`.
             let start = st.rr;
+            let visits: Vec<usize> = st
+                .pending
+                .range(start..)
+                .chain(st.pending.range(..start))
+                .map(|(&ring, _)| ring)
+                .collect();
             let mut progressed = false;
-            for offset in 0..n_tenants {
-                let ring = (start + offset) % n_tenants;
-                let tenant = st.tenants[ring].clone();
-                if *per_tenant.get(&tenant).unwrap_or(&0) >= tenant_cap {
+            for ring in visits {
+                if *per_tenant.get(&ring).unwrap_or(&0) >= tenant_cap {
                     continue;
                 }
-                let found = st.jobs.iter().enumerate().find_map(|(i, j)| {
-                    if j.tenant == tenant {
-                        j.next_pending().map(|s| (i, s))
-                    } else {
-                        None
-                    }
-                });
-                let Some((job_idx, slot_idx)) = found else {
+                // A visit changes only the visited tenant's jobs, so
+                // every tenant listed for this pass still has work.
+                let Some(&job_idx) = st.pending.get(&ring).and_then(VecDeque::front) else {
                     continue;
                 };
+                let slot_idx = st.jobs[job_idx].cursor;
+                let tenant = st.jobs[job_idx].tenant.clone();
                 progressed = true;
                 let cell = st.jobs[job_idx].cells[slot_idx];
                 // Candidate chain, cheapest source first: quarantine,
@@ -1041,7 +1122,7 @@ impl Inner {
                         mode: entry.spec.mode,
                     });
                     inflight.insert(cell);
-                    *per_tenant.entry(tenant.clone()).or_insert(0) += 1;
+                    *per_tenant.entry(ring).or_insert(0) += 1;
                     if st.dispatch_log.len() < DISPATCH_LOG_CAP {
                         st.dispatch_log.push((tenant.clone(), key));
                     }
@@ -1052,6 +1133,7 @@ impl Inner {
                         );
                     }
                 }
+                st.settle(ring);
                 // This tenant consumed the turn either way; the next
                 // slot goes to the tenant after it.
                 st.rr = (ring + 1) % n_tenants;
@@ -1233,16 +1315,19 @@ impl Inner {
         let mut failed_jobs = 0u64;
         {
             let mut st = lock(&inner.state);
-            for entry in &mut st.jobs {
-                if entry.finished() && !entry.counted {
-                    entry.counted = true;
-                    if entry.slots.iter().any(|s| matches!(s, Slot::Failed { .. })) {
-                        failed_jobs += 1;
-                    } else {
-                        completed_jobs += 1;
-                    }
+            let st = &mut *st;
+            st.uncounted.retain(|&i| {
+                let entry = &st.jobs[i];
+                if !entry.finished() {
+                    return true;
                 }
-            }
+                if entry.slots.iter().any(|s| matches!(s, Slot::Failed { .. })) {
+                    failed_jobs += 1;
+                } else {
+                    completed_jobs += 1;
+                }
+                false
+            });
         }
         if completed_jobs + failed_jobs > 0 {
             if let Some(hub) = &inner.config.hub {
@@ -1402,6 +1487,11 @@ impl Drop for TcpFront {
 }
 
 fn serve_connection(service: &Service, stream: TcpStream) -> Result<(), ServiceError> {
+    // Every response is a small write the client waits on: send it at
+    // once rather than behind the ACK of the previous one.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| ServiceError::Io(e.to_string()))?;
     let reader = stream
         .try_clone()
         .map_err(|e| ServiceError::Io(e.to_string()))?;
@@ -1487,9 +1577,9 @@ fn handle_request(
             let mut next = from as usize;
             loop {
                 let (events, status) = service.events_since(&job, next)?;
-                for event in &events {
+                if !events.is_empty() {
                     writer
-                        .write_all(event.as_bytes())
+                        .write_all(events.concat().as_bytes())
                         .map_err(|e| ServiceError::Io(e.to_string()))?;
                 }
                 next += events.len();

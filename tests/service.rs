@@ -472,6 +472,184 @@ fn cancel_skips_pending_trials_and_results_reflect_it() {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned dispatch order: the exact ring walk of `Service::tick`
+// ---------------------------------------------------------------------------
+
+/// A spec of the `count` experiment over `variants` with its own root
+/// seed, so no two specs in a test share a cell: every trial goes to
+/// the pool (no coalescing, no memo hits) and shows in the dispatch log.
+fn ring_spec(variants: &str, seeds: u64, root: u64) -> String {
+    format!("experiments = count\nvariants = {variants}\nseeds = {seeds}\nroot-seed = {root:#x}")
+}
+
+fn ring_service(jobs: usize, max_tenant_inflight: usize) -> Service {
+    Service::new(
+        counting_registry(Arc::new(AtomicUsize::new(0))),
+        ServiceConfig {
+            jobs,
+            max_tenant_inflight,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service")
+}
+
+fn dispatches(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+    pairs
+        .iter()
+        .map(|(tenant, key)| (tenant.to_string(), format!("count/{key}")))
+        .collect()
+}
+
+#[test]
+fn dispatch_order_skips_finished_tenants_ahead_in_the_ring() {
+    let service = ring_service(2, 0);
+    let finished: Vec<String> = (0..12).map(|i| format!("f{i:02}")).collect();
+    for (i, tenant) in finished.iter().enumerate() {
+        service
+            .submit(tenant, &ring_spec("a", 1, 0x100 + i as u64))
+            .expect("submit finished tenant");
+    }
+    drive(&service);
+    let history = service.dispatch_log();
+    let expected: Vec<(String, String)> = finished
+        .iter()
+        .map(|t| (t.clone(), "count/a/s0".to_string()))
+        .collect();
+    assert_eq!(history, expected, "one trial per tenant, in ring order");
+
+    // Twelve finished tenants now sit ahead of the active ones, and
+    // the ring cursor is back at the first of them.
+    service.submit("x", &ring_spec("a", 3, 0x200)).expect("x");
+    service.submit("y", &ring_spec("b", 2, 0x201)).expect("y");
+    service.submit("z", &ring_spec("a", 3, 0x202)).expect("z");
+    drive(&service);
+    let log = service.dispatch_log();
+    assert_eq!(
+        log[history.len()..],
+        dispatches(&[
+            ("x", "a/s0"),
+            ("y", "b/s0"),
+            ("z", "a/s0"),
+            ("x", "a/s1"),
+            ("y", "b/s1"),
+            ("z", "a/s1"),
+            ("x", "a/s2"),
+            ("z", "a/s2"),
+        ])[..]
+    );
+}
+
+#[test]
+fn dispatch_order_passes_over_a_job_cancelled_mid_queue() {
+    let service = ring_service(2, 0);
+    service
+        .submit("alice", &ring_spec("a", 1, 0x301))
+        .expect("a1");
+    let (middle, _) = service
+        .submit("alice", &ring_spec("b", 3, 0x302))
+        .expect("a2");
+    service
+        .submit("alice", &ring_spec("a", 2, 0x303))
+        .expect("a3");
+    let (partial, _) = service
+        .submit("bob", &ring_spec("b", 4, 0x304))
+        .expect("b1");
+    service
+        .submit("bob", &ring_spec("a", 1, 0x305))
+        .expect("b2");
+
+    // Alice's second job is cancelled before it ever reaches the
+    // front of her queue; bob's first job after one of its trials ran.
+    assert_eq!(service.cancel(&middle).expect("cancel middle"), 3);
+    assert_eq!(service.tick(), 2);
+    assert_eq!(service.cancel(&partial).expect("cancel partial"), 3);
+    drive(&service);
+    assert_eq!(
+        service.dispatch_log(),
+        dispatches(&[
+            ("alice", "a/s0"),
+            ("bob", "b/s0"),
+            ("alice", "a/s0"),
+            ("bob", "a/s0"),
+            ("alice", "a/s1"),
+        ])
+    );
+    let status = service.status(&partial).expect("status");
+    assert_eq!((status.done, status.skipped), (1, 3));
+}
+
+#[test]
+fn dispatch_order_keeps_a_returning_tenants_ring_position() {
+    // One trial per batch, so every tick shows where the cursor is.
+    let service = ring_service(1, 0);
+    service
+        .submit("alice", &ring_spec("a", 1, 0x401))
+        .expect("alice 1");
+    drive(&service);
+    service
+        .submit("bob", &ring_spec("a", 3, 0x402))
+        .expect("bob");
+    service
+        .submit("carol", &ring_spec("a", 3, 0x403))
+        .expect("carol");
+    assert_eq!(service.tick(), 1);
+    // Alice comes back after her first job finished: she keeps ring
+    // position 0, ahead of bob and carol, and is not appended after them.
+    service
+        .submit("alice", &ring_spec("b", 3, 0x404))
+        .expect("alice 2");
+    drive(&service);
+    assert_eq!(
+        service.dispatch_log(),
+        dispatches(&[
+            ("alice", "a/s0"),
+            ("bob", "a/s0"),
+            ("carol", "a/s0"),
+            ("alice", "b/s0"),
+            ("bob", "a/s1"),
+            ("carol", "a/s1"),
+            ("alice", "b/s1"),
+            ("bob", "a/s2"),
+            ("carol", "a/s2"),
+            ("alice", "b/s2"),
+        ])
+    );
+}
+
+#[test]
+fn dispatch_order_holds_each_tenant_to_one_trial_per_batch() {
+    // Four pool slots but three tenants at one trial each: a batch
+    // stops at three rather than giving alice a second trial.
+    let service = ring_service(4, 1);
+    service
+        .submit("alice", &ring_spec("a", 3, 0x501))
+        .expect("alice");
+    service
+        .submit("bob", &ring_spec("b", 1, 0x502))
+        .expect("bob");
+    service
+        .submit("carol", &ring_spec("a", 3, 0x503))
+        .expect("carol");
+    assert_eq!(service.tick(), 3);
+    assert_eq!(service.tick(), 2);
+    assert_eq!(service.tick(), 2);
+    assert_eq!(service.tick(), 0);
+    assert_eq!(
+        service.dispatch_log(),
+        dispatches(&[
+            ("alice", "a/s0"),
+            ("bob", "b/s0"),
+            ("carol", "a/s0"),
+            ("alice", "a/s1"),
+            ("carol", "a/s1"),
+            ("alice", "a/s2"),
+            ("carol", "a/s2"),
+        ])
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Crash safety: the write-ahead job journal
 // ---------------------------------------------------------------------------
 
