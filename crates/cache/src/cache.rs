@@ -31,13 +31,59 @@ pub struct InsertOutcome {
     pub victim: Option<Victim>,
 }
 
+/// `flags` bit: the slot holds a line.
+const VALID: u8 = 1 << 2;
+/// `flags` bit: the slot's line carries a speculative tag in `spec`.
+const HAS_SPEC: u8 = 1 << 3;
+/// `flags` bits holding the [`CoherenceState`] code.
+const STATE_MASK: u8 = 0b11;
+
+fn state_code(state: CoherenceState) -> u8 {
+    match state {
+        CoherenceState::Invalid => 0,
+        CoherenceState::Shared => 1,
+        CoherenceState::Exclusive => 2,
+        CoherenceState::Modified => 3,
+    }
+}
+
+fn state_of(flags: u8) -> CoherenceState {
+    match flags & STATE_MASK {
+        0 => CoherenceState::Invalid,
+        1 => CoherenceState::Shared,
+        2 => CoherenceState::Exclusive,
+        _ => CoherenceState::Modified,
+    }
+}
+
+/// The `tags` encoding of `line`: its raw number plus one, so that the
+/// zero a fresh (zero-allocated) array holds reads as "no line". The one
+/// line whose key wraps to zero, `u64::MAX`, is told apart from an empty
+/// slot by the `VALID` flag (see [`Cache::probe`]).
+#[inline]
+fn tag_key(line: LineAddr) -> u64 {
+    line.raw().wrapping_add(1)
+}
+
 /// One level of the hierarchy: tag array, replacement policy, optional
 /// NoMo partition, optional CEASER indexing.
+///
+/// The tag array is three parallel `sets * ways` row-major arrays of
+/// primitives rather than one of `Option<LineMeta>`: a set probe scans
+/// 8-byte keys instead of 32-byte slots, and an empty cache is all
+/// zeroes, so building one is a zeroed allocation (fresh pages need no
+/// writes at all) instead of a loop writing every slot. [`LineMeta`] is
+/// reassembled on the way out.
 #[derive(Debug)]
 pub struct Cache {
     name: &'static str,
     cfg: CacheConfig,
-    ways: Vec<Option<LineMeta>>, // sets * ways, row-major
+    /// [`tag_key`] of each slot's line; 0 for an empty slot.
+    tags: Vec<u64>,
+    /// Speculative epoch of each slot's line, read only under `HAS_SPEC`.
+    spec: Vec<u64>,
+    /// `VALID`, `HAS_SPEC` and the coherence code; 0 for an empty slot.
+    flags: Vec<u8>,
     policy: PolicyImpl,
     mapper: IndexMapper,
     partition: NomoPartition,
@@ -52,9 +98,12 @@ impl Cache {
     pub fn new(name: &'static str, cfg: CacheConfig, partition: NomoPartition, seed: u64) -> Self {
         cfg.validate();
         let policy = PolicyImpl::new(cfg.replacement, cfg.sets, cfg.ways, seed);
+        let slots = cfg.sets * cfg.ways;
         Cache {
             name,
-            ways: vec![None; cfg.sets * cfg.ways],
+            tags: vec![0; slots],
+            spec: vec![0; slots],
+            flags: vec![0; slots],
             policy,
             mapper: IndexMapper::Modulo,
             partition,
@@ -74,9 +123,12 @@ impl Cache {
         cfg.validate();
         let ways = cfg.ways;
         let policy = PolicyImpl::new(cfg.replacement, cfg.sets, ways, seed);
+        let slots = cfg.sets * ways;
         Cache {
             name,
-            ways: vec![None; cfg.sets * cfg.ways],
+            tags: vec![0; slots],
+            spec: vec![0; slots],
+            flags: vec![0; slots],
             policy,
             mapper: IndexMapper::Ceaser(CeaserMapper::new(ceaser_seed, cfg.sets)),
             partition: NomoPartition::disabled(ways),
@@ -104,29 +156,69 @@ impl Cache {
         }
     }
 
-    fn slot(&self, set: usize, way: usize) -> &Option<LineMeta> {
-        &self.ways[set * self.cfg.ways + way]
+    /// Flat index of `(set, way)`.
+    fn idx(&self, set: usize, way: usize) -> usize {
+        set * self.cfg.ways + way
     }
 
-    fn slot_mut(&mut self, set: usize, way: usize) -> &mut Option<LineMeta> {
-        &mut self.ways[set * self.cfg.ways + way]
+    /// The line metadata held in flat slot `i`, if any.
+    fn slot_meta(&self, i: usize) -> Option<LineMeta> {
+        let flags = self.flags[i];
+        (flags & VALID != 0).then(|| LineMeta {
+            line: LineAddr::new(self.tags[i].wrapping_sub(1)),
+            state: state_of(flags),
+            spec: (flags & HAS_SPEC != 0).then_some(SpecTag(self.spec[i])),
+        })
     }
 
-    /// The slots of `set`, in way order (a contiguous row of the flat
-    /// tag array, so the scan is a single bounds check plus a linear
-    /// walk).
-    fn set_slots(&self, set: usize) -> &[Option<LineMeta>] {
-        let base = set * self.cfg.ways;
-        &self.ways[base..base + self.cfg.ways]
+    /// Writes `meta` into flat slot `i`.
+    fn store(&mut self, i: usize, meta: LineMeta) {
+        self.tags[i] = tag_key(meta.line);
+        let mut flags = VALID | state_code(meta.state);
+        if let Some(tag) = meta.spec {
+            self.spec[i] = tag.0;
+            flags |= HAS_SPEC;
+        }
+        self.flags[i] = flags;
     }
 
-    /// Finds `line` without touching replacement state or stats.
+    /// Empties flat slot `i` (a stale `spec` entry is never read
+    /// without `HAS_SPEC`).
+    fn clear_slot(&mut self, i: usize) {
+        self.tags[i] = 0;
+        self.flags[i] = 0;
+    }
+
+    fn is_valid(&self, i: usize) -> bool {
+        self.flags[i] & VALID != 0
+    }
+
+    fn set_state(&mut self, i: usize, state: CoherenceState) {
+        self.flags[i] = (self.flags[i] & !STATE_MASK) | state_code(state);
+    }
+
+    /// Finds `line` without touching replacement state or stats. The
+    /// scan compares 8-byte keys only: an empty slot's key is 0, which no
+    /// line's key equals except `u64::MAX`'s, so that one line takes a
+    /// cold path that also checks the `VALID` flag.
     pub fn probe(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_index(line);
-        self.set_slots(set)
-            .iter()
-            .position(|slot| matches!(slot, Some(meta) if meta.line == line))
-            .map(|way| (set, way))
+        let base = set * self.cfg.ways;
+        let key = tag_key(line);
+        let row = &self.tags[base..base + self.cfg.ways];
+        let way = if key != 0 {
+            row.iter().position(|&t| t == key)
+        } else {
+            self.probe_wrapped_key(base)
+        };
+        way.map(|way| (set, way))
+    }
+
+    /// [`Cache::probe`] for the line whose key is 0: the way in the row
+    /// at `base` that is valid and holds key 0.
+    #[cold]
+    fn probe_wrapped_key(&self, base: usize) -> Option<usize> {
+        (0..self.cfg.ways).position(|w| self.tags[base + w] == 0 && self.is_valid(base + w))
     }
 
     /// Whether `line` is resident.
@@ -136,7 +228,8 @@ impl Cache {
 
     /// Metadata of `line` if resident.
     pub fn meta(&self, line: LineAddr) -> Option<LineMeta> {
-        self.probe(line).and_then(|(s, w)| *self.slot(s, w))
+        self.probe(line)
+            .and_then(|(s, w)| self.slot_meta(self.idx(s, w)))
     }
 
     /// Performs a lookup for an access: updates hit/miss stats and, on a
@@ -175,12 +268,13 @@ impl Cache {
         let way = match allowed
             .iter()
             .copied()
-            .find(|&w| self.slot(set, w).is_none())
+            .find(|&w| !self.is_valid(self.idx(set, w)))
         {
             Some(invalid_way) => invalid_way,
             None => self.policy.choose_victim(set, allowed),
         };
-        let victim = self.slot(set, way).map(|old| {
+        let i = self.idx(set, way);
+        let victim = self.slot_meta(i).map(|old| {
             self.stats.evictions += 1;
             if old.state.is_dirty() {
                 self.stats.writebacks += 1;
@@ -194,7 +288,7 @@ impl Cache {
         if victim.is_none() {
             self.resident += 1;
         }
-        *self.slot_mut(set, way) = Some(meta);
+        self.store(i, meta);
         self.policy.on_access(set, way);
         InsertOutcome { set, way, victim }
     }
@@ -212,7 +306,8 @@ impl Cache {
             set < self.cfg.sets && way < self.cfg.ways,
             "slot out of range"
         );
-        match self.slot(set, way) {
+        let i = self.idx(set, way);
+        match self.slot_meta(i) {
             Some(existing) => assert_eq!(
                 existing.line, meta.line,
                 "{}: restoring over a different resident line",
@@ -221,14 +316,16 @@ impl Cache {
             None => self.resident += 1,
         }
         self.stats.restores += 1;
-        *self.slot_mut(set, way) = Some(meta);
+        self.store(i, meta);
         self.policy.on_access(set, way);
     }
 
     /// Invalidates `line`. Returns the vacated `(set, way, meta)`.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<(usize, usize, LineMeta)> {
         let (set, way) = self.probe(line)?;
-        let meta = self.slot_mut(set, way).take()?;
+        let i = self.idx(set, way);
+        let meta = self.slot_meta(i)?;
+        self.clear_slot(i);
         self.resident -= 1;
         self.stats.invalidations += 1;
         if meta.state.is_dirty() {
@@ -239,23 +336,23 @@ impl Cache {
 
     /// Marks a resident line dirty (a committed store hit).
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        if let Some((set, way)) = self.probe(line) {
-            if let Some(meta) = self.slot_mut(set, way).as_mut() {
-                meta.state = CoherenceState::Modified;
-                return true;
+        match self.probe(line) {
+            Some((set, way)) => {
+                self.set_state(self.idx(set, way), CoherenceState::Modified);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Downgrades `line` from M/E to Shared (a remote reader obtained a
     /// copy). Returns the previous state if the line was resident.
     pub fn downgrade(&mut self, line: LineAddr) -> Option<CoherenceState> {
         let (set, way) = self.probe(line)?;
-        let meta = self.slot_mut(set, way).as_mut()?;
-        let prev = meta.state;
+        let i = self.idx(set, way);
+        let prev = state_of(self.flags[i]);
         if prev.is_valid() {
-            meta.state = CoherenceState::Shared;
+            self.set_state(i, CoherenceState::Shared);
         }
         Some(prev)
     }
@@ -263,9 +360,8 @@ impl Cache {
     /// Clears the speculative tag of `line` (its epoch resolved correct).
     pub fn commit_spec(&mut self, line: LineAddr) {
         if let Some((set, way)) = self.probe(line) {
-            if let Some(meta) = self.slot_mut(set, way).as_mut() {
-                meta.commit();
-            }
+            let i = self.idx(set, way);
+            self.flags[i] &= !HAS_SPEC;
         }
     }
 
@@ -295,7 +391,7 @@ impl Cache {
     pub fn resident_count(&self) -> usize {
         debug_assert_eq!(
             self.resident,
-            self.ways.iter().filter(|w| w.is_some()).count(),
+            self.recount(),
             "{}: occupancy counter drifted from the tag array",
             self.name
         );
@@ -312,12 +408,17 @@ impl Cache {
     /// Returns `(counter, recount)` when the incremental counter has
     /// drifted from the tag array.
     pub fn verify_occupancy(&self) -> Result<(), (usize, usize)> {
-        let recount = self.ways.iter().filter(|w| w.is_some()).count();
+        let recount = self.recount();
         if self.resident == recount {
             Ok(())
         } else {
             Err((self.resident, recount))
         }
+    }
+
+    /// Valid slots in the tag array, counted afresh.
+    fn recount(&self) -> usize {
+        self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
     /// Corrupts the incremental occupancy counter by `delta` without
@@ -349,7 +450,7 @@ impl Cache {
             set < self.cfg.sets && way < self.cfg.ways,
             "slot out of range"
         );
-        self.slot(set, way).map(|m| m.line)
+        self.slot_meta(self.idx(set, way)).map(|m| m.line)
     }
 
     /// The slots of `set` in way order, without copying the row.
@@ -359,7 +460,8 @@ impl Cache {
     /// Panics if `set` is out of range.
     pub fn set_lines(&self, set: usize) -> impl Iterator<Item = Option<LineMeta>> + '_ {
         assert!(set < self.cfg.sets, "set out of range");
-        self.set_slots(set).iter().copied()
+        let base = set * self.cfg.ways;
+        (base..base + self.cfg.ways).map(move |i| self.slot_meta(i))
     }
 
     /// Copies the slots of `set` into `buf` (cleared first), so callers
@@ -372,17 +474,15 @@ impl Cache {
     pub fn read_set_into(&self, set: usize, buf: &mut Vec<Option<LineMeta>>) {
         assert!(set < self.cfg.sets, "set out of range");
         buf.clear();
-        buf.extend_from_slice(self.set_slots(set));
+        buf.extend(self.set_lines(set));
     }
 
     /// Drops every resident line (used by CEASER remap, which must migrate
     /// or flush residents when the key changes).
     pub fn flush_all(&mut self) {
-        for slot in &mut self.ways {
-            if slot.take().is_some() {
-                self.stats.invalidations += 1;
-            }
-        }
+        self.stats.invalidations += self.recount() as u64;
+        self.tags.fill(0);
+        self.flags.fill(0);
         self.resident = 0;
     }
 
@@ -592,6 +692,52 @@ mod tests {
         assert_eq!(c.resident_count(), 2);
         c.flush_all();
         assert_eq!(c.resident_count(), 0);
+    }
+
+    #[test]
+    fn max_line_does_not_match_an_empty_slot() {
+        // `u64::MAX`'s key wraps to 0, the empty-slot marker; a cache of
+        // empty slots must still report it absent.
+        let mut c = small_cache();
+        let max = LineAddr::new(u64::MAX);
+        assert_eq!(c.probe(max), None);
+        assert_eq!(c.meta(max), None);
+        assert!(c.access(max).is_none());
+        assert!(!c.mark_dirty(max));
+        assert_eq!(c.downgrade(max), None);
+        assert_eq!(c.invalidate(max), None);
+        // Another line in its set leaves it absent too.
+        c.insert(LineMeta::clean(LineAddr::new(3)), 0);
+        assert_eq!(c.probe(max), None);
+        assert_eq!(c.resident_count(), 1);
+    }
+
+    #[test]
+    fn max_line_survives_insert() {
+        let mut c = small_cache();
+        let max = LineAddr::new(u64::MAX);
+        let meta = LineMeta::speculative(max, SpecTag(4));
+        let out = c.insert(meta, 0);
+        assert_eq!(out.victim, None);
+        assert_eq!(c.probe(max), Some((out.set, out.way)));
+        assert_eq!(c.meta(max), Some(meta));
+        assert_eq!(c.slot_line(out.set, out.way), Some(max));
+        assert_eq!(c.resident_count(), 1);
+        assert_eq!(c.verify_occupancy(), Ok(()));
+        // The slot is taken: the next fill of the set goes to the other
+        // way, and a third one evicts one of the two.
+        let other = c.insert(LineMeta::clean(LineAddr::new(7)), 0);
+        assert_ne!(other.way, out.way);
+        c.commit_spec(max);
+        assert!(c.mark_dirty(max));
+        assert_eq!(
+            c.meta(max).map(|m| (m.state, m.spec)),
+            Some((CoherenceState::Modified, None))
+        );
+        let (set, way, gone) = c.invalidate(max).expect("resident");
+        assert_eq!((set, way, gone.line), (out.set, out.way, max));
+        assert_eq!(c.probe(max), None);
+        assert_eq!(c.resident_count(), 1);
     }
 
     #[test]

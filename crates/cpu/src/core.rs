@@ -209,7 +209,7 @@ pub struct Core {
     #[allow(clippy::vec_box)]
     frames_storage: Vec<Box<Frame>>,
     /// ROB release-cycle queue storage, reused across runs.
-    rob_storage: std::collections::VecDeque<Cycle>,
+    rob_storage: RobRing,
     /// Scratch effect list handed to the defense on squash/commit;
     /// reused so steady-state squashes allocate nothing.
     effects_scratch: Vec<Effect>,
@@ -251,7 +251,7 @@ impl Core {
             telemetry: Telemetry::disabled(),
             frame_pool: Vec::new(),
             frames_storage: Vec::new(),
-            rob_storage: std::collections::VecDeque::new(),
+            rob_storage: RobRing::default(),
             effects_scratch: Vec::new(),
             sanitizer: None,
             ff_spans: Vec::new(),
@@ -503,7 +503,7 @@ impl Core {
             last_mem: start_cycle,
             fence_floor: start_cycle,
             frames: std::mem::take(&mut self.frames_storage),
-            rob: std::mem::take(&mut self.rob_storage),
+            rob: self.rob_storage.take_reserved(self.cfg.rob_entries),
             load_issue_cycle: 0,
             loads_in_cycle: 0,
             loads_issued: 0,
@@ -1234,8 +1234,7 @@ impl Core {
                     correct_pc,
                     self.next_seq,
                 );
-                st.frames.push(frame);
-                st.refresh_frame_cache();
+                st.push_frame(frame);
                 complete = resolve;
                 st.pc = followed_pc;
             }
@@ -1266,8 +1265,7 @@ impl Core {
                     actual,
                     self.next_seq,
                 );
-                st.frames.push(frame);
-                st.refresh_frame_cache();
+                st.push_frame(frame);
                 complete = resolve;
                 st.pc = predicted;
             }
@@ -1352,8 +1350,7 @@ impl Core {
                         actual,
                         self.next_seq,
                     );
-                    st.frames.push(frame);
-                    st.refresh_frame_cache();
+                    st.push_frame(frame);
                     complete = resolve;
                     st.pc = predicted;
                 }
@@ -1365,7 +1362,7 @@ impl Core {
 
         st.last_complete = st.last_complete.max(complete);
         // ROB release: in-order commit discipline.
-        let release = st.rob.back().copied().unwrap_or(0).max(complete);
+        let release = st.rob.back().unwrap_or(0).max(complete);
         st.rob.push_back(release);
         self.telemetry.emit(Event::Complete {
             cycle: complete,
@@ -1530,14 +1527,7 @@ impl Core {
             }
         }
         if found.is_none() && cfg.check_rob {
-            let mut prev = 0;
-            for &next in &st.rob {
-                if next < prev {
-                    found = Some(InvariantViolation::RobOrder { prev, next });
-                    break;
-                }
-                prev = next;
-            }
+            found = st.rob.order_violation();
         }
         san.record_check();
         if let Some(violation) = found {
@@ -1764,6 +1754,107 @@ impl FfUop {
     }
 }
 
+/// The ROB's release-cycle queue, oldest first: a power-of-two ring
+/// reserved to `rob_entries` at run start. The main loop pops only when
+/// the queue holds `rob_entries` entries and pushes once per dispatch,
+/// so within a run it never outgrows the reservation; [`RobRing::grow`]
+/// exists only so a caller that outruns the bound keeps a correct
+/// queue. `last` caches the
+/// youngest entry for the per-dispatch [`RobRing::back`].
+#[derive(Debug, Default)]
+struct RobRing {
+    /// Slot storage; empty or a power-of-two length.
+    buf: Vec<Cycle>,
+    /// Index of the oldest entry.
+    head: usize,
+    len: usize,
+    /// The youngest entry (meaningful only while `len > 0`).
+    last: Cycle,
+}
+
+impl RobRing {
+    /// Moves the (empty) ring out of `self`, with room for `entries`
+    /// without growing. Capacity is kept across runs: only the first run
+    /// (or a larger ROB) allocates.
+    fn take_reserved(&mut self, entries: usize) -> RobRing {
+        let mut ring = std::mem::take(self);
+        let cap = entries.next_power_of_two();
+        if ring.buf.len() < cap {
+            ring.buf = vec![0; cap];
+        }
+        ring
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The youngest entry.
+    #[inline]
+    fn back(&self) -> Option<Cycle> {
+        (self.len > 0).then_some(self.last)
+    }
+
+    #[inline]
+    fn push_back(&mut self, release: Cycle) {
+        if self.len == self.buf.len() {
+            self.grow();
+        }
+        let mask = self.buf.len() - 1;
+        self.buf[(self.head + self.len) & mask] = release;
+        self.len += 1;
+        self.last = release;
+    }
+
+    #[inline]
+    fn pop_front(&mut self) -> Option<Cycle> {
+        if self.len == 0 {
+            return None;
+        }
+        let oldest = self.buf[self.head];
+        self.head = (self.head + 1) & (self.buf.len() - 1);
+        self.len -= 1;
+        Some(oldest)
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// Doubles the storage (at least one slot), unrolling the ring so
+    /// the oldest entry lands at index 0 and order is kept.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let unrolled: Vec<Cycle> = self.iter().collect();
+        let mut buf = vec![0; (self.buf.len() * 2).max(1)];
+        buf[..unrolled.len()].copy_from_slice(&unrolled);
+        self.buf = buf;
+        self.head = 0;
+    }
+
+    /// Entries oldest first.
+    fn iter(&self) -> impl Iterator<Item = Cycle> + '_ {
+        let mask = self.buf.len().wrapping_sub(1);
+        (0..self.len).map(move |i| self.buf[(self.head + i) & mask])
+    }
+
+    /// The sanitizer's ROB audit: release cycles must be non-decreasing
+    /// oldest to youngest (in-order commit). Returns the first pair out
+    /// of order.
+    fn order_violation(&self) -> Option<InvariantViolation> {
+        let mut prev = 0;
+        for next in self.iter() {
+            if next < prev {
+                return Some(InvariantViolation::RobOrder { prev, next });
+            }
+            prev = next;
+        }
+        None
+    }
+}
+
 /// Per-run mutable execution state.
 struct Exec {
     pc: PcIndex,
@@ -1778,7 +1869,7 @@ struct Exec {
     /// pointers, not checkpoint arrays — see [`Core::frame_pool`]).
     #[allow(clippy::vec_box)]
     frames: Vec<Box<Frame>>,
-    rob: std::collections::VecDeque<Cycle>,
+    rob: RobRing,
     load_issue_cycle: Cycle,
     loads_in_cycle: u64,
     /// Loads issued this run (wrong-path included) — the minuend for
@@ -1858,9 +1949,28 @@ impl Exec {
         self.stats.committed_insts + self.stats.squashed_insts
     }
 
+    /// Pushes `frame` as the youngest open frame and folds it into the
+    /// cached frame-stack summary in O(1). The new frame takes the last
+    /// index, so the strict `<` below keeps an older frame on a tie,
+    /// exactly as [`Self::refresh_frame_cache`]'s rescan would.
+    fn push_frame(&mut self, frame: Box<Frame>) {
+        let (resolve, mispredicted) = (frame.resolve_cycle, frame.mispredicted);
+        let idx = self.frames.len();
+        self.frames.push(frame);
+        if self.earliest_resolve.is_none_or(|(c, _)| resolve < c) {
+            self.earliest_resolve = Some((resolve, idx));
+        }
+        if mispredicted {
+            self.mispredict_frames += 1;
+            self.earliest_mispredict =
+                Some(self.earliest_mispredict.map_or(resolve, |c| c.min(resolve)));
+        }
+    }
+
     /// Rebuilds the cached frame-stack summary. Called after every
-    /// push/remove/drain of `frames`; the per-instruction queries below
-    /// then read the cache in O(1) instead of rescanning the stack.
+    /// remove/drain of `frames` (pushes go through the O(1)
+    /// [`Self::push_frame`]); the per-instruction queries below then
+    /// read the cache in O(1) instead of rescanning the stack.
     fn refresh_frame_cache(&mut self) {
         self.earliest_resolve = None;
         self.mispredict_frames = 0;
@@ -2932,5 +3042,130 @@ mod fast_forward_tests {
         for pair in switches.chunks(2) {
             assert_eq!(pair, [true, false], "spans must alternate enter/exit");
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+mod rob_ring_tests {
+    use super::*;
+    use crate::program::ProgramBuilder;
+
+    fn ring_contents(ring: &RobRing) -> Vec<Cycle> {
+        ring.iter().collect()
+    }
+
+    #[test]
+    fn rob_ring_wraps_at_rob_entries_without_growing() {
+        // 6 entries round up to 8 slots; keep the ring at the main
+        // loop's bound (pop at 6, push one) through many wraps.
+        let mut ring = RobRing::default().take_reserved(6);
+        assert_eq!(ring.buf.len(), 8);
+        let mut model = std::collections::VecDeque::new();
+        for c in 0..100u64 {
+            if ring.len() >= 6 {
+                assert_eq!(ring.pop_front(), model.pop_front());
+            }
+            ring.push_back(c);
+            model.push_back(c);
+            assert_eq!(ring.len(), model.len());
+            assert_eq!(ring_contents(&ring), Vec::from(model.clone()));
+        }
+        assert_eq!(ring.buf.len(), 8, "the bounded loop must never grow");
+    }
+
+    #[test]
+    fn rob_ring_back_after_pops() {
+        let mut ring = RobRing::default().take_reserved(4);
+        assert_eq!(ring.back(), None);
+        for c in [3, 5, 9] {
+            ring.push_back(c);
+        }
+        assert_eq!(ring.pop_front(), Some(3));
+        assert_eq!(ring.back(), Some(9));
+        assert_eq!(ring.pop_front(), Some(5));
+        assert_eq!(ring.pop_front(), Some(9));
+        // Emptied by pops: back is gone, as `VecDeque::back` would be.
+        assert_eq!(ring.back(), None);
+        assert_eq!(ring.pop_front(), None);
+        ring.push_back(11);
+        assert_eq!(ring.back(), Some(11));
+    }
+
+    #[test]
+    fn rob_ring_grow_keeps_oldest_first_order() {
+        let mut ring = RobRing::default().take_reserved(4);
+        for c in 0..4 {
+            ring.push_back(c);
+        }
+        ring.pop_front();
+        ring.pop_front();
+        // head is now mid-buffer; overflowing the reservation grows
+        // from a wrapped ring.
+        for c in 4..9 {
+            ring.push_back(c);
+        }
+        assert_eq!(ring.buf.len(), 8);
+        assert_eq!(ring_contents(&ring), (2..9).collect::<Vec<_>>());
+        assert_eq!(ring.back(), Some(8));
+        for c in 2..9 {
+            assert_eq!(ring.pop_front(), Some(c));
+        }
+        assert_eq!(ring.pop_front(), None);
+        // A ring with no storage grows from nothing.
+        let mut bare = RobRing::default();
+        bare.push_back(7);
+        assert_eq!(ring_contents(&bare), [7]);
+    }
+
+    #[test]
+    fn rob_ring_storage_is_reused_across_runs() {
+        let mut core = Core::table_i();
+        let mut b = ProgramBuilder::new();
+        for i in 0..400u64 {
+            b.mov(Reg(1), i);
+        }
+        b.halt();
+        let program = b.build();
+        let first = core.run(&program);
+        let slots = core.rob_storage.buf.as_ptr();
+        assert_eq!(core.rob_storage.buf.len(), 256);
+        assert_eq!(core.rob_storage.len(), 0, "runs hand back an empty ring");
+        let second = core.run(&program);
+        assert_eq!(core.rob_storage.buf.as_ptr(), slots, "no reallocation");
+        assert_eq!(core.rob_storage.buf.len(), 256);
+        assert_eq!(second.stats.committed_insts, first.stats.committed_insts);
+        assert_eq!(second.stats.cycles, first.stats.cycles);
+    }
+
+    #[test]
+    fn rob_order_audit_walks_oldest_first() {
+        // Fill a 4-slot ring past its bound so the oldest entry sits at
+        // the end of the buffer.
+        fn wrapped(releases: [Cycle; 7]) -> RobRing {
+            let mut ring = RobRing::default().take_reserved(4);
+            for c in releases {
+                if ring.len() >= 4 {
+                    ring.pop_front();
+                }
+                ring.push_back(c);
+            }
+            assert_eq!(ring.head, 3);
+            ring
+        }
+        // Buffer order reads 5, 6, 7, 4 — out of order — but oldest
+        // first it is 4..=7, which is fine.
+        let ring = wrapped([1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(ring.buf, [5, 6, 7, 4]);
+        assert_eq!(ring_contents(&ring), [4, 5, 6, 7]);
+        assert_eq!(ring.order_violation(), None);
+        // A release younger than its predecessor is reported with the
+        // oldest-first pair, across the wrap.
+        let ring = wrapped([1, 2, 3, 4, 5, 9, 7]);
+        assert_eq!(ring_contents(&ring), [4, 5, 9, 7]);
+        assert_eq!(
+            ring.order_violation(),
+            Some(InvariantViolation::RobOrder { prev: 9, next: 7 })
+        );
     }
 }
