@@ -1,4 +1,4 @@
-//! Shared plumbing for the experiment binary and the Criterion benches.
+//! Shared plumbing for the `experiments` binary: timed, buffered output.
 
 use std::fmt::Write as _;
 use std::time::Instant;

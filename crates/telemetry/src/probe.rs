@@ -1,11 +1,11 @@
 //! The probe bus: sinks, the bounded ring buffer, and the cloneable
 //! [`Telemetry`] handle every instrumented component holds.
 //!
-//! Design constraint (the acceptance criterion of the telemetry PR): a
-//! *disabled* handle must make `emit` a true no-op — no heap
-//! allocation, no locking, no formatting. The handle is therefore an
-//! `Option<Arc<..>>`: disabled is `None` and `emit` reduces to one
-//! branch over a `Copy` event that was built on the stack.
+//! Design constraint: a *disabled* handle must make `emit` a true
+//! no-op — no heap allocation, no locking, no formatting. The handle is
+//! therefore an `Option<Arc<..>>`: disabled is `None` and `emit`
+//! reduces to one branch over a `Copy` event that was built on the
+//! stack.
 
 use std::sync::{Arc, Mutex};
 
