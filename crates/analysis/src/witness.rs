@@ -12,10 +12,10 @@
 //! prediction.
 //!
 //! Extraction is concrete: the program is executed **architecturally**
-//! (a straight functional interpreter, no pipeline) with the attack
-//! layout installed and the trigger prepared exactly as the dynamic
-//! drivers do. At every architectural occurrence of the witness path's
-//! speculation source, the confirming path is evaluated concretely
+//! (a loop over [`unxpec_cpu::arch::step`], no pipeline) with the
+//! attack layout installed and the trigger prepared exactly as the
+//! dynamic drivers do. At every architectural occurrence of the witness
+//! path's speculation source, the confirming path is stepped concretely
 //! from the live register file (stores buffered in an overlay, loads
 //! reading overlay-then-memory), yielding the transmitter's concrete
 //! address. Run twice with two secret bytes: a pair whose addresses
@@ -28,7 +28,8 @@
 use std::collections::BTreeMap;
 
 use unxpec_attack::{ProgramSpec, TriggerKind};
-use unxpec_cpu::{Inst, Operand, PcIndex, Program, NUM_REGS};
+use unxpec_cpu::arch::{self, ArchMem, Flow};
+use unxpec_cpu::{Inst, PcIndex, Program, NUM_REGS};
 use unxpec_mem::{Addr, Memory};
 
 use crate::error::AnalysisError;
@@ -40,7 +41,7 @@ use crate::window::SpecKind;
 pub const FALLBACK_PAIRS: &[(u8, u8)] = &[(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 255)];
 
 /// Architectural step budget for one interpreter run.
-const ARCH_STEP_CAP: usize = 200_000;
+const ARCH_STEP_CAP: u64 = 200_000;
 
 /// Maximum dynamic occurrences of the trigger PC sampled per run.
 const OCCURRENCE_CAP: usize = 64;
@@ -160,13 +161,6 @@ impl LeakWitness {
     }
 }
 
-fn operand(regs: &[u64; NUM_REGS], op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => regs[r.index()],
-        Operand::Imm(i) => i,
-    }
-}
-
 /// Installs the layout, prepares the trigger exactly as the dynamic
 /// drivers do, and writes the secret byte.
 pub(crate) fn prepare_memory(spec: &ProgramSpec, mem: &mut Memory, byte: u8) {
@@ -197,9 +191,31 @@ struct PathSample {
     addr: u64,
 }
 
+/// Architectural memory for a wrong path: its stores land in a local
+/// overlay, and its loads read overlay-then-memory.
+struct StoreOverlay<'a> {
+    mem: &'a Memory,
+    stores: BTreeMap<u64, u64>,
+}
+
+impl ArchMem for StoreOverlay<'_> {
+    fn read_u64(&mut self, addr: u64) -> u64 {
+        match self.stores.get(&addr) {
+            Some(&value) => value,
+            None => self.mem.read_u64(Addr::new(addr)),
+        }
+    }
+
+    fn write_u64(&mut self, addr: u64, value: u64) {
+        self.stores.insert(addr, value);
+    }
+}
+
 /// Evaluates `path` concretely from the architectural state at its
-/// source. The path dictates control flow, so branches and jumps are
-/// no-ops; stores go to a local overlay.
+/// source, stepping each instruction with [`arch::step`] against a
+/// [`StoreOverlay`]. The path dictates control flow, so each step's
+/// [`arch::Flow`] is ignored; the path's own clock reads 1 at its first
+/// instruction.
 fn eval_path(
     program: &Program,
     path: &SpecPath,
@@ -207,82 +223,47 @@ fn eval_path(
     mem: &Memory,
 ) -> Option<PathSample> {
     let mut regs = *arch_regs;
-    let mut overlay: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut time = 1u64;
+    let mut overlay = StoreOverlay {
+        mem,
+        stores: BTreeMap::new(),
+    };
     // The source's own architectural side effect precedes the wrong
     // path (a mispredicted `ret` still pops the stack pointer).
-    if let Some(Inst::Ret { sp }) = program.fetch(path.spec_pc) {
-        regs[sp.index()] = regs[sp.index()].wrapping_add(8);
+    if let Some(source) = program.fetch(path.spec_pc) {
+        arch::step(source, path.spec_pc, &mut regs, &mut overlay, 0);
     }
     let last = *path.pcs.last()?;
-    for &pc in &path.pcs {
+    for (time, &pc) in (1..).zip(&path.pcs) {
         let inst = program.fetch(pc)?;
         if pc == last {
-            if let Inst::Load { base, offset, .. } = inst {
-                let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
-                return Some(PathSample { addr });
-            }
-            return None;
+            let Inst::Load { base, offset, .. } = inst else {
+                return None;
+            };
+            let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
+            return Some(PathSample { addr });
         }
-        match inst {
-            Inst::MovImm { dst, imm } => regs[dst.index()] = imm,
-            Inst::Alu { op, dst, a, b } => {
-                regs[dst.index()] = op.apply(regs[a.index()], operand(&regs, b));
-            }
-            Inst::Load { dst, base, offset } => {
-                let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
-                regs[dst.index()] = overlay
-                    .get(&addr)
-                    .copied()
-                    .unwrap_or_else(|| mem.read_u64(Addr::new(addr)));
-            }
-            Inst::Store { src, base, offset } => {
-                let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
-                overlay.insert(addr, regs[src.index()]);
-            }
-            Inst::ReadTime { dst } => {
-                regs[dst.index()] = time;
-                time += 1;
-            }
-            Inst::Call { sp, .. } => {
-                let new_sp = regs[sp.index()].wrapping_sub(8);
-                overlay.insert(new_sp & !7, (pc + 1) as u64);
-                regs[sp.index()] = new_sp;
-            }
-            Inst::Ret { sp } => {
-                regs[sp.index()] = regs[sp.index()].wrapping_add(8);
-            }
-            Inst::Flush { .. }
-            | Inst::Fence
-            | Inst::Branch { .. }
-            | Inst::Jump { .. }
-            | Inst::JumpInd { .. }
-            | Inst::Nop
-            | Inst::Halt => {}
-        }
+        arch::step(inst, pc, &mut regs, &mut overlay, time);
     }
     None
 }
 
-/// Runs `spec`'s program architecturally with secret `byte`, sampling
-/// the concrete evaluation of `path` at every dynamic occurrence of
-/// its speculation source.
+/// Runs `program` architecturally from PC 0 on the prepared `mem`,
+/// sampling the concrete evaluation of `path` at every dynamic
+/// occurrence of its speculation source. The clock `ReadTime` sees is
+/// the step count, 1 at the first instruction.
 fn sample_occurrences(
-    spec: &ProgramSpec,
+    name: &str,
+    program: &Program,
+    mut mem: Memory,
     path: &SpecPath,
-    byte: u8,
 ) -> Result<Vec<PathSample>, AnalysisError> {
-    let program = spec.program();
-    let mut mem = Memory::new();
-    prepare_memory(spec, &mut mem, byte);
     let mut regs = [0u64; NUM_REGS];
     let mut pc: PcIndex = 0;
-    let mut time = 0u64;
     let mut samples = Vec::new();
-    for _ in 0..ARCH_STEP_CAP {
+    for time in 1..=ARCH_STEP_CAP {
         let Some(inst) = program.fetch(pc) else {
             return Err(AnalysisError::Interpreter {
-                program: spec.name.to_owned(),
+                program: name.to_owned(),
                 pc,
                 reason: "pc out of bounds".to_owned(),
             });
@@ -292,55 +273,14 @@ fn sample_occurrences(
                 samples.push(sample);
             }
         }
-        time += 1;
-        match inst {
-            Inst::MovImm { dst, imm } => regs[dst.index()] = imm,
-            Inst::Alu { op, dst, a, b } => {
-                regs[dst.index()] = op.apply(regs[a.index()], operand(&regs, b));
-            }
-            Inst::Load { dst, base, offset } => {
-                let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
-                regs[dst.index()] = mem.read_u64(Addr::new(addr));
-            }
-            Inst::Store { src, base, offset } => {
-                let addr = regs[base.index()].wrapping_add(offset as u64) & !7;
-                mem.write_u64(Addr::new(addr), regs[src.index()]);
-            }
-            Inst::ReadTime { dst } => regs[dst.index()] = time,
-            Inst::Flush { .. } | Inst::Fence | Inst::Nop => {}
-            Inst::Branch { cond, a, b, target } => {
-                if cond.eval(regs[a.index()], operand(&regs, b)) {
-                    pc = target;
-                    continue;
-                }
-            }
-            Inst::Jump { target } => {
-                pc = target;
-                continue;
-            }
-            Inst::JumpInd { target } => {
-                pc = regs[target.index()] as PcIndex;
-                continue;
-            }
-            Inst::Call { target, sp } => {
-                let new_sp = regs[sp.index()].wrapping_sub(8);
-                mem.write_u64(Addr::new(new_sp & !7), (pc + 1) as u64);
-                regs[sp.index()] = new_sp;
-                pc = target;
-                continue;
-            }
-            Inst::Ret { sp } => {
-                let ret_pc = mem.read_u64(Addr::new(regs[sp.index()] & !7));
-                regs[sp.index()] = regs[sp.index()].wrapping_add(8);
-                pc = ret_pc as PcIndex;
-                continue;
-            }
-            Inst::Halt => return Ok(samples),
+        match arch::step(inst, pc, &mut regs, &mut mem, time) {
+            Flow::Next => pc += 1,
+            Flow::Jump(target) => pc = target,
+            Flow::Halt => return Ok(samples),
         }
-        pc += 1;
     }
     Err(AnalysisError::Interpreter {
-        program: spec.name.to_owned(),
+        program: name.to_owned(),
         pc,
         reason: format!("architectural step budget ({ARCH_STEP_CAP}) exhausted"),
     })
@@ -374,13 +314,18 @@ pub fn extract(
         });
     }
     let pairs = candidate_pairs(spec);
+    let sample = |path: &SpecPath, byte: u8| {
+        let mut mem = Memory::new();
+        prepare_memory(spec, &mut mem, byte);
+        sample_occurrences(spec.name, spec.program(), mem, path)
+    };
     let mut witnesses = Vec::new();
     for wt in &analysis.windowed {
         let mut found = None;
         'search: for &pair in &pairs {
             for path in &wt.paths {
-                let s0 = sample_occurrences(spec, path, pair.0)?;
-                let s1 = sample_occurrences(spec, path, pair.1)?;
+                let s0 = sample(path, pair.0)?;
+                let s1 = sample(path, pair.1)?;
                 for (a, b) in s0.iter().zip(s1.iter()) {
                     if a.addr >> 6 != b.addr >> 6 {
                         found = Some((path.clone(), pair, a.addr, b.addr));
@@ -440,7 +385,7 @@ mod tests {
     use super::*;
     use crate::taint::SecretRegion;
     use crate::verdict::analyze;
-    use unxpec_cpu::CoreConfig;
+    use unxpec_cpu::{CoreConfig, ProgramBuilder, Reg};
     use unxpec_telemetry::json::validate;
 
     fn analyzed(spec: &ProgramSpec) -> ProgramAnalysis {
@@ -478,6 +423,52 @@ mod tests {
             let ws = extract(&spec, &a).expect("extraction is trivial");
             assert!(ws.is_empty());
         }
+    }
+
+    /// A path that is never sampled: its source PC is out of reach.
+    fn unreached_path() -> SpecPath {
+        SpecPath {
+            spec_pc: usize::MAX,
+            kind: SpecKind::ConditionalBranch,
+            pcs: vec![0],
+            assumption: None,
+        }
+    }
+
+    fn interpreter_failure(program: &Program) -> (PcIndex, String) {
+        match sample_occurrences("probe", program, Memory::new(), &unreached_path()) {
+            Err(AnalysisError::Interpreter {
+                program,
+                pc,
+                reason,
+            }) => {
+                assert_eq!(program, "probe");
+                (pc, reason)
+            }
+            Err(other) => panic!("unexpected error {other}"),
+            Ok(_) => panic!("the interpreter must fail"),
+        }
+    }
+
+    #[test]
+    fn indirect_jump_to_a_garbage_pc_is_out_of_bounds() {
+        let mut b = ProgramBuilder::new();
+        b.mov(Reg(1), 0xdead_beef);
+        b.jump_ind(Reg(1));
+        b.halt();
+        let (pc, reason) = interpreter_failure(&b.build());
+        assert_eq!(pc, 0xdead_beef);
+        assert_eq!(reason, "pc out of bounds");
+    }
+
+    #[test]
+    fn self_loop_exhausts_the_step_budget() {
+        let mut b = ProgramBuilder::new();
+        b.label("spin");
+        b.jump("spin");
+        let (pc, reason) = interpreter_failure(&b.build());
+        assert_eq!(pc, 0);
+        assert!(reason.contains("step budget"), "{reason}");
     }
 
     #[test]

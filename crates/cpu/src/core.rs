@@ -31,9 +31,10 @@ use unxpec_cache::{CacheHierarchy, Cycle, Effect, HierarchyConfig, SpecTag};
 use unxpec_mem::{Addr, Memory};
 use unxpec_telemetry::{Event, MetricsRegistry, Telemetry};
 
+use crate::arch::{self, Flow};
 use crate::config::CoreConfig;
 use crate::defense::{Defense, FillPolicy, SquashInfo, UnsafeBaseline};
-use crate::isa::{Inst, Operand, PcIndex, Reg, NUM_REGS};
+use crate::isa::{AluOp, Inst, Operand, PcIndex, Reg, NUM_REGS};
 use crate::predictor::{BimodalPredictor, BranchPredictor, Btb, ReturnStackBuffer};
 use crate::program::Program;
 use crate::sanitizer::{InvariantViolation, RollbackCheck, Sanitizer, SanitizerConfig};
@@ -216,15 +217,10 @@ pub struct Core {
     /// Optional runtime invariant sanitizer (`None` costs one pointer
     /// check at squash boundaries and nothing in the dispatch loop).
     sanitizer: Option<Box<Sanitizer>>,
-    /// Per-PC straight-line span lengths for the fast-forward
-    /// interpreter, precomputed at run start (fast-forward runs only).
-    /// `ff_spans[pc]` counts the consecutive instructions starting at
-    /// `pc` that neither transfer control nor fence — the stretch the
-    /// span fast path may execute without per-instruction loop-head
-    /// checks. Storage is reused across runs.
-    ff_spans: Vec<u32>,
-    /// Pre-decoded span-safe instructions, parallel to the program (and
-    /// to [`Self::ff_spans`]): the span loop dispatches once on the flat
+    /// The fast-forward plan: every instruction pre-decoded into its
+    /// flat [`FfUop`] form with its straight-line span length,
+    /// index-parallel to the program and rebuilt at run start
+    /// (fast-forward runs only). The plan loop dispatches once on
     /// [`FfUop::kind`] instead of walking the nested `Inst` → `Operand`
     /// → `AluOp` matches per instruction. Storage is reused across runs.
     ff_plan: Vec<FfUop>,
@@ -254,7 +250,6 @@ impl Core {
             rob_storage: RobRing::default(),
             effects_scratch: Vec::new(),
             sanitizer: None,
-            ff_spans: Vec::new(),
             ff_plan: Vec::new(),
         }
     }
@@ -629,7 +624,7 @@ impl Core {
             }
 
             let d = st.take_dispatch_slot(self.cfg.dispatch_width);
-            self.execute(&mut st, program, inst, d);
+            self.execute(&mut st, inst, d);
         }
 
         // Run-end structural audit (no-op when the sanitizer is off or
@@ -656,28 +651,26 @@ impl Core {
         }
     }
 
-    /// Rebuilds [`Self::ff_spans`] and [`Self::ff_plan`] for `program`:
-    /// one backward pass marking, per PC, how many consecutive
+    /// Rebuilds [`Self::ff_plan`] for `program`: pre-decodes each
+    /// instruction into its flat [`FfUop`] form, then one backward pass
+    /// records in [`FfUop::span`], per PC, how many consecutive
     /// instructions from there on are span-safe — they neither transfer
     /// control (every transfer re-enters the outer loop so `pc` stays
     /// explicit) nor fence (a fence's `stall_to` can advance the clock
-    /// arbitrarily, which would break the span fast path's
-    /// one-cycle-per-instruction headroom bound against `max_cycles`) —
-    /// and pre-decoding each instruction into its flat [`FfUop`] form.
+    /// arbitrarily, which would break the plan loop's
+    /// one-cycle-per-instruction headroom bound against `max_cycles`).
     fn compute_ff_plan(&mut self, program: &Program) {
         let insts = program.instructions();
-        self.ff_spans.clear();
-        self.ff_spans.resize(insts.len(), 0);
         self.ff_plan.clear();
         self.ff_plan
             .extend(insts.iter().map(|&inst| FfUop::decode(inst)));
         let mut run = 0u32;
-        for (i, uop) in self.ff_plan.iter().enumerate().rev() {
+        for uop in self.ff_plan.iter_mut().rev() {
             run = match uop.kind {
                 FfKind::Barrier => 0,
                 _ => run.saturating_add(1),
             };
-            self.ff_spans[i] = run;
+            uop.span = run;
         }
     }
 
@@ -745,23 +738,24 @@ impl Core {
                 st.stats.ff_regions += 1;
             }
 
-            // Span fast path: a precomputed stretch of span-safe
-            // instructions runs in a tight slice loop with the loop-head
-            // checks amortized to once per span. The clamps keep it
-            // exactly equivalent to per-instruction execution: the span
-            // stops at the instruction bound, at a pending milestone (so
-            // the head records it at the same commit count), and within
-            // the cycle headroom (the clock advances at most one cycle
-            // per dispatched instruction, so `cycle_limit` cannot be
-            // crossed mid-span). The arms below mirror the general path
-            // minus per-instruction `pc`/counter updates, which batch.
-            let mut span = u64::from(self.ff_spans.get(st.pc).copied().unwrap_or(0));
-            span = span.min(inst_limit - st.stats.committed_insts);
-            if let Some(m) = milestone_pending {
-                span = span.min(m - st.stats.committed_insts);
-            }
-            span = span.min(cycle_limit - st.cur_cycle);
-            if span > 1 {
+            // Plan loop: every span-safe PC runs a precomputed stretch
+            // of span-safe instructions in a tight slice loop with the
+            // loop-head checks amortized to once per span. The clamps
+            // keep it exactly equivalent to per-instruction execution:
+            // the span stops at the instruction bound, at a pending
+            // milestone (so the head records it at the same commit
+            // count), and within the cycle headroom (the clock advances
+            // at most one cycle per dispatched instruction, so
+            // `cycle_limit` cannot be crossed mid-span). With no
+            // headroom left the span is still one instruction, which is
+            // what the loop head would have let run.
+            let span = self.ff_plan.get(st.pc).map_or(0, |u| u.span);
+            if span > 0 {
+                let mut span = u64::from(span).min(inst_limit - st.stats.committed_insts);
+                if let Some(m) = milestone_pending {
+                    span = span.min(m - st.stats.committed_insts);
+                }
+                let span = span.min(cycle_limit - st.cur_cycle).max(1);
                 let end = st.pc + span as usize;
                 // The clock, dispatch slots, and completion horizons live
                 // in locals for the span: nothing inside a span can stall
@@ -774,26 +768,22 @@ impl Core {
                 let mut last_mem = st.last_mem;
                 let fence_floor = st.fence_floor;
                 // Register-register / register-immediate ALU arms share
-                // everything but the operand-ready chain and the value
-                // expression; the macros keep the sixteen arms honest
-                // about using identical timing math.
+                // everything but the operand-ready chain; the values come
+                // from `AluOp::apply`, the micro-ISA's one definition.
                 macro_rules! rr {
-                    ($u:expr, $d:expr, $lat:expr, $f:expr) => {{
-                        let av = st.regs[$u.ai()];
-                        let bv = st.regs[$u.bi()];
+                    ($u:expr, $d:expr, $lat:expr, $op:expr) => {{
                         let ready = st.avail[$u.ai()].max(st.avail[$u.bi()]).max($d);
                         let done = ready + $lat;
-                        st.regs[$u.dsti()] = $f(av, bv);
+                        st.regs[$u.dsti()] = $op.apply(st.regs[$u.ai()], st.regs[$u.bi()]);
                         st.avail[$u.dsti()] = done;
                         done
                     }};
                 }
                 macro_rules! ri {
-                    ($u:expr, $d:expr, $lat:expr, $f:expr) => {{
-                        let av = st.regs[$u.ai()];
+                    ($u:expr, $d:expr, $lat:expr, $op:expr) => {{
                         let ready = st.avail[$u.ai()].max($d);
                         let done = ready + $lat;
-                        st.regs[$u.dsti()] = $f(av, $u.imm);
+                        st.regs[$u.dsti()] = $op.apply(st.regs[$u.ai()], $u.imm);
                         st.avail[$u.dsti()] = done;
                         done
                     }};
@@ -812,31 +802,27 @@ impl Core {
                             st.avail[u.dsti()] = d;
                             d
                         }
-                        FfKind::AddRR => rr!(u, d, alu_latency, u64::wrapping_add),
-                        FfKind::SubRR => rr!(u, d, alu_latency, u64::wrapping_sub),
-                        FfKind::MulRR => rr!(u, d, mul_latency, u64::wrapping_mul),
-                        FfKind::AndRR => rr!(u, d, alu_latency, |a, b| a & b),
-                        FfKind::OrRR => rr!(u, d, alu_latency, |a, b| a | b),
-                        FfKind::XorRR => rr!(u, d, alu_latency, |a, b| a ^ b),
-                        FfKind::ShlRR => {
-                            rr!(u, d, alu_latency, |a: u64, b: u64| a.wrapping_shl(b as u32))
-                        }
-                        FfKind::ShrRR => {
-                            rr!(u, d, alu_latency, |a: u64, b: u64| a.wrapping_shr(b as u32))
-                        }
-                        FfKind::AddRI => ri!(u, d, alu_latency, u64::wrapping_add),
-                        FfKind::SubRI => ri!(u, d, alu_latency, u64::wrapping_sub),
-                        FfKind::MulRI => ri!(u, d, mul_latency, u64::wrapping_mul),
-                        FfKind::AndRI => ri!(u, d, alu_latency, |a, b| a & b),
-                        FfKind::OrRI => ri!(u, d, alu_latency, |a, b| a | b),
-                        FfKind::XorRI => ri!(u, d, alu_latency, |a, b| a ^ b),
-                        FfKind::ShlRI => {
-                            ri!(u, d, alu_latency, |a: u64, b: u64| a.wrapping_shl(b as u32))
-                        }
-                        FfKind::ShrRI => {
-                            ri!(u, d, alu_latency, |a: u64, b: u64| a.wrapping_shr(b as u32))
-                        }
+                        FfKind::AddRR => rr!(u, d, alu_latency, AluOp::Add),
+                        FfKind::SubRR => rr!(u, d, alu_latency, AluOp::Sub),
+                        FfKind::MulRR => rr!(u, d, mul_latency, AluOp::Mul),
+                        FfKind::AndRR => rr!(u, d, alu_latency, AluOp::And),
+                        FfKind::OrRR => rr!(u, d, alu_latency, AluOp::Or),
+                        FfKind::XorRR => rr!(u, d, alu_latency, AluOp::Xor),
+                        FfKind::ShlRR => rr!(u, d, alu_latency, AluOp::Shl),
+                        FfKind::ShrRR => rr!(u, d, alu_latency, AluOp::Shr),
+                        FfKind::AddRI => ri!(u, d, alu_latency, AluOp::Add),
+                        FfKind::SubRI => ri!(u, d, alu_latency, AluOp::Sub),
+                        FfKind::MulRI => ri!(u, d, mul_latency, AluOp::Mul),
+                        FfKind::AndRI => ri!(u, d, alu_latency, AluOp::And),
+                        FfKind::OrRI => ri!(u, d, alu_latency, AluOp::Or),
+                        FfKind::XorRI => ri!(u, d, alu_latency, AluOp::Xor),
+                        FfKind::ShlRI => ri!(u, d, alu_latency, AluOp::Shl),
+                        FfKind::ShrRI => ri!(u, d, alu_latency, AluOp::Shr),
                         FfKind::Load => {
+                            // No open frame means no speculation tag,
+                            // which in the detailed core forces
+                            // `FillPolicy::Eager` regardless of the
+                            // defense — so the functional fill is exact.
                             let addr = Addr::new(st.regs[u.ai()].wrapping_add(u.imm) & !7);
                             let ready = st.avail[u.ai()].max(d).max(fence_floor);
                             let start = st.alloc_load_slot(ready, load_ports);
@@ -846,6 +832,10 @@ impl Core {
                             st.avail[u.dsti()] = done;
                             last_mem = last_mem.max(done);
                             st.stats.committed_loads += 1;
+                            // Keep the load sequence numbering aligned
+                            // with the detailed core: frames armed after
+                            // this region derive their effect-retention
+                            // cutoffs from these counters.
                             self.next_seq += 1;
                             st.loads_issued += 1;
                             done
@@ -893,114 +883,35 @@ impl Core {
                 continue;
             }
 
+            // The barriers that do not end the region — `Fence`, `Jump`
+            // and `Call` — one at a time: the match books their timing,
+            // `arch::step` applies their architectural effect.
             executed += 1;
             st.stats.committed_insts += 1;
             let d = st.take_dispatch_slot(dispatch_width);
-            let mut complete = d;
-            match inst {
-                Inst::Nop => {
-                    st.pc += 1;
-                }
-                Inst::MovImm { dst, imm } => {
-                    st.regs[dst.index()] = imm;
-                    st.avail[dst.index()] = d;
-                    st.pc += 1;
-                }
-                Inst::Alu { op, dst, a, b } => {
-                    let (bv, bav) = st.operand(b);
-                    let ready = st.avail[a.index()].max(bav).max(d);
-                    let av = st.regs[a.index()];
-                    use crate::isa::AluOp;
-                    let (val, done) = match op {
-                        AluOp::Add => (av.wrapping_add(bv), ready + alu_latency),
-                        AluOp::Sub => (av.wrapping_sub(bv), ready + alu_latency),
-                        AluOp::Mul => (av.wrapping_mul(bv), ready + mul_latency),
-                        AluOp::And => (av & bv, ready + alu_latency),
-                        AluOp::Or => (av | bv, ready + alu_latency),
-                        AluOp::Xor => (av ^ bv, ready + alu_latency),
-                        AluOp::Shl => (av.wrapping_shl(bv as u32), ready + alu_latency),
-                        AluOp::Shr => (av.wrapping_shr(bv as u32), ready + alu_latency),
-                    };
-                    st.regs[dst.index()] = val;
-                    st.avail[dst.index()] = done;
-                    complete = done;
-                    st.pc += 1;
-                }
-                Inst::Load { dst, base, offset } => {
-                    // No open frame means no speculation tag, which in the
-                    // detailed core forces `FillPolicy::Eager` regardless
-                    // of the defense — so the functional fill is exact.
-                    let addr = Addr::new(st.regs[base.index()].wrapping_add(offset as u64) & !7);
-                    let ready = st.avail[base.index()].max(d).max(st.fence_floor);
-                    let start = st.alloc_load_slot(ready, load_ports);
-                    let (done, _level) = self.hier.access_data_functional(addr.line(), start);
-                    st.regs[dst.index()] = self.mem.read_u64(addr);
-                    st.avail[dst.index()] = done;
-                    st.last_mem = st.last_mem.max(done);
-                    complete = done;
-                    st.stats.committed_loads += 1;
-                    // Keep the load sequence numbering aligned with the
-                    // detailed core: frames armed after this region derive
-                    // their effect-retention cutoffs from these counters.
-                    self.next_seq += 1;
-                    st.loads_issued += 1;
-                    st.pc += 1;
-                }
-                Inst::Store { src, base, offset } => {
-                    let addr = Addr::new(st.regs[base.index()].wrapping_add(offset as u64) & !7);
-                    let ready = st.avail[base.index()]
-                        .max(st.avail[src.index()])
-                        .max(d)
-                        .max(st.fence_floor);
-                    self.mem.write_u64(addr, st.regs[src.index()]);
-                    let (done, _level) = self.hier.write_data_functional(addr.line(), ready);
-                    st.last_mem = st.last_mem.max(done);
-                    complete = done;
-                    st.pc += 1;
-                }
-                Inst::Flush { base, offset } => {
-                    let addr = Addr::new(st.regs[base.index()].wrapping_add(offset as u64));
-                    let ready = st.avail[base.index()].max(d).max(st.fence_floor);
-                    let done = self.hier.flush_line(addr.line(), ready);
-                    st.last_mem = st.last_mem.max(done);
-                    complete = done;
-                    st.pc += 1;
-                }
+            let complete = match inst {
                 Inst::Fence => {
                     let done = st.last_mem.max(d);
                     st.fence_floor = st.fence_floor.max(done);
                     st.stall_to(done);
-                    complete = done;
-                    st.pc += 1;
+                    done
                 }
-                Inst::ReadTime { dst } => {
-                    let start = st.last_complete.max(d);
-                    st.regs[dst.index()] = start;
-                    st.avail[dst.index()] = start + self.cfg.timer_latency;
-                    complete = start + self.cfg.timer_latency;
-                    st.pc += 1;
-                }
-                Inst::Jump { target } => {
-                    st.pc = target;
-                }
-                Inst::Call { target, sp } => {
-                    let ret_pc = (st.pc + 1) as u64;
-                    let new_sp = st.regs[sp.index()].wrapping_sub(8);
+                Inst::Call { sp, .. } => {
                     let ready = st.avail[sp.index()].max(d).max(st.fence_floor);
-                    st.regs[sp.index()] = new_sp;
                     st.avail[sp.index()] = ready + 1;
-                    let addr = Addr::new(new_sp & !7);
-                    self.mem.write_u64(addr, ret_pc);
+                    let addr = Addr::new(st.regs[sp.index()].wrapping_sub(8) & !7);
                     let (done, _level) = self.hier.write_data_functional(addr.line(), ready);
                     st.last_mem = st.last_mem.max(done);
-                    complete = done;
                     self.ras.push(st.pc + 1);
-                    st.pc = target;
+                    done
                 }
-                // Speculation sources and Halt exit the region above.
-                Inst::Branch { .. } | Inst::JumpInd { .. } | Inst::Ret { .. } | Inst::Halt => {}
-            }
+                _ => d,
+            };
             st.last_complete = st.last_complete.max(complete);
+            st.pc = match arch::step(inst, st.pc, &mut st.regs, &mut self.mem, 0) {
+                Flow::Jump(target) => target,
+                Flow::Next | Flow::Halt => st.pc + 1,
+            };
         }
         if executed > 0 {
             st.stats.ff_committed_insts += executed;
@@ -1013,7 +924,7 @@ impl Core {
         executed > 0
     }
 
-    fn execute(&mut self, st: &mut Exec, _program: &Program, inst: Inst, d: Cycle) {
+    fn execute(&mut self, st: &mut Exec, inst: Inst, d: Cycle) {
         let pc = st.pc;
         let wrong_path = st.has_mispredicted_frame();
         if wrong_path {
@@ -1629,7 +1540,7 @@ impl Core {
 }
 
 /// Dispatch tag for a pre-decoded span-safe instruction. ALU ops split
-/// into register/immediate forms so the span loop resolves the right
+/// into register/immediate forms so the plan loop resolves the right
 /// operand at decode time instead of re-matching `Operand` per
 /// execution, and the op folds into the same dispatch as the kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1659,28 +1570,34 @@ enum FfKind {
     /// Anything not span-safe (control flow, fences, `Halt`). Present in
     /// the plan so it stays index-parallel to the program, but
     /// [`Core::compute_ff_plan`] gives these PCs a zero span length, so
-    /// the span loop never dispatches one.
+    /// the plan loop never dispatches one.
     Barrier,
 }
 
-/// One pre-decoded span-safe instruction: a flat `(kind, regs, imm)`
-/// record the fast-forward span loop executes with a single jump-table
-/// dispatch. `dst` holds the source register for `Store` (which writes
-/// memory, not a register); `imm` holds the immediate for `MovImm` and
-/// `*RI` forms and the byte displacement (as raw `u64` bits) for memory
-/// ops.
+/// One pre-decoded instruction of the fast-forward plan: a flat
+/// `(kind, regs, span, imm)` record the plan loop executes with a
+/// single jump-table dispatch. `dst` holds the source register for
+/// `Store` (which writes memory, not a register); `imm` holds the
+/// immediate for `MovImm` and `*RI` forms and the byte displacement
+/// (as raw `u64` bits) for memory ops. `span` fills the padding before
+/// `imm`, so the record stays 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct FfUop {
     kind: FfKind,
     dst: u8,
     a: u8,
     b: u8,
+    /// Consecutive span-safe instructions from this PC on (0 for a
+    /// [`FfKind::Barrier`]); set by [`Core::compute_ff_plan`].
+    span: u32,
     imm: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<FfUop>() == 16);
+
 impl FfUop {
     /// Register-file index of the `dst` field. Decode validated the raw
-    /// number, so the mask is a no-op that lets the span loop index the
+    /// number, so the mask is a no-op that lets the plan loop index the
     /// register file without bounds checks.
     #[inline(always)]
     fn dsti(self) -> usize {
@@ -1700,12 +1617,11 @@ impl FfUop {
     }
 
     fn decode(inst: Inst) -> FfUop {
-        use crate::isa::AluOp;
         let uop = |kind, dst: u8, a: u8, b: u8, imm: u64| {
             // The detailed path panics on an out-of-range register at
             // execution; pre-decode keeps that contract by rejecting it
             // here, which is what makes the masked (unchecked) indexing
-            // in the span loop exact.
+            // in the plan loop exact.
             assert!(
                 (dst as usize) < NUM_REGS && (a as usize) < NUM_REGS && (b as usize) < NUM_REGS,
                 "register out of range in fast-forward pre-decode"
@@ -1715,6 +1631,7 @@ impl FfUop {
                 dst,
                 a,
                 b,
+                span: 0,
                 imm,
             }
         };

@@ -7,6 +7,10 @@
 //! [`unxpec_cache::CacheHierarchy`] while collecting the squash records
 //! ([`SquashRecord`]) the paper's experiments are built from.
 //!
+//! [`arch::step`] is the micro-ISA's one architectural semantics, the
+//! one the functional interpreters outside the detailed core (witness
+//! extraction, the fast-forward core's fallback) step through.
+//!
 //! Safe-speculation defenses plug in through the [`Defense`] trait; the
 //! baseline [`UnsafeBaseline`] leaves transient cache footprints in place
 //! (Spectre-vulnerable), while `unxpec-defense` provides CleanupSpec and
@@ -25,6 +29,7 @@
 //! assert_eq!(result.reg(Reg(2)), 42);
 //! ```
 
+pub mod arch;
 mod asm;
 mod config;
 mod core;
@@ -37,6 +42,7 @@ mod stats;
 mod trace;
 
 pub use crate::core::{Core, ExecMode, RunResult};
+pub use arch::{ArchMem, Flow};
 pub use asm::{parse_asm, ParseAsmError};
 pub use config::CoreConfig;
 pub use defense::{Defense, FillPolicy, SquashInfo, UnsafeBaseline};

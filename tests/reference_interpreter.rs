@@ -7,10 +7,13 @@
 //! rollbacks and all) and by an in-test oracle that is obviously
 //! correct. Any wrong-path state leaking into architectural results —
 //! the exact class of bug a speculation simulator is most likely to
-//! have — fails the property.
+//! have — fails the property. The same oracle also checks
+//! [`unxpec::cpu::arch::step`], the architectural semantics the
+//! workspace's functional interpreters are built on.
 
 use proptest::prelude::*;
-use unxpec::cpu::{AluOp, Cond, Core, Inst, Operand, Program, ProgramBuilder, Reg};
+use unxpec::cpu::arch::{self, Flow};
+use unxpec::cpu::{AluOp, Cond, Core, Inst, Operand, Program, ProgramBuilder, Reg, NUM_REGS};
 use unxpec::mem::{Addr, Memory};
 
 /// Sequential reference semantics.
@@ -79,6 +82,22 @@ fn reference_run(program: &Program, mem: &mut Memory) -> [u64; 8] {
         }
     }
     regs[..8].try_into().expect("8 registers")
+}
+
+/// The same program driven through `arch::step` (clock pinned at 0,
+/// like the oracle's `ReadTime`).
+fn arch_step_run(program: &Program, mem: &mut Memory) -> [u64; 8] {
+    let mut regs = [0u64; NUM_REGS];
+    let mut pc = 0usize;
+    for _ in 0..100_000 {
+        let inst = program.fetch(pc).expect("pc in bounds");
+        match arch::step(inst, pc, &mut regs, mem, 0) {
+            Flow::Next => pc += 1,
+            Flow::Jump(target) => pc = target,
+            Flow::Halt => return regs[..8].try_into().expect("8 registers"),
+        }
+    }
+    panic!("arch::step loop ran away");
 }
 
 /// One generated operation (lowered into 1–2 instructions).
@@ -196,6 +215,8 @@ proptest! {
         let program = lower(&ops);
         let mut ref_mem = Memory::new();
         let expected = reference_run(&program, &mut ref_mem);
+        let mut arch_mem = Memory::new();
+        prop_assert_eq!(arch_step_run(&program, &mut arch_mem), expected, "arch::step diverged");
 
         let mut core = Core::table_i();
         let result = core.run(&program);
@@ -213,6 +234,7 @@ proptest! {
         for w in 0..128u64 {
             let addr = Addr::new(0x10_0000 + w * 8);
             prop_assert_eq!(core.mem().read_u64(addr), ref_mem.read_u64(addr));
+            prop_assert_eq!(arch_mem.read_u64(addr), ref_mem.read_u64(addr));
         }
     }
 
