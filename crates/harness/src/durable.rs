@@ -15,8 +15,9 @@
 //!   whose recomputed checksum matches, and counts the rest into
 //!   [`Salvage::dropped`]. A torn tail or a flipped bit costs exactly
 //!   its own line; no line is ever resumed on trust.
-//! * **Append + flush** — [`Log::append`] writes one line and flushes
-//!   it to the OS before returning, so a killed process never loses an
+//! * **Append + flush** — [`Log::append`] writes one line, and
+//!   [`Log::append_all`] a batch of lines in one write; each flushes to
+//!   the OS before returning, so a killed process never loses an
 //!   acknowledged record.
 //! * **Atomic replace** — [`replace`] writes a `.tmp` sibling and
 //!   renames it over the target, so a reader sees the old file or the
@@ -75,13 +76,18 @@ pub fn parse_hex(v: &Value) -> Option<u64> {
 /// `record` as its one `\n`-terminated line.
 pub fn render<R: Record>(record: &R) -> String {
     let mut out = String::with_capacity(160);
+    render_into(record, &mut out);
+    out
+}
+
+/// Appends `record`'s line to `out`.
+fn render_into<R: Record>(record: &R, out: &mut String) {
     // Writing into a `String` cannot fail.
     let _ = write!(out, "{{\"v\": {}, ", R::VERSION)
-        .and_then(|()| record.render_members(&mut out))
+        .and_then(|()| record.render_members(out))
         .and_then(|()| write!(out, ", \"checksum\": \"{}\"", hex(record.checksum())))
-        .and_then(|()| record.render_tail(&mut out));
+        .and_then(|()| record.render_tail(out));
     out.push_str("}\n");
-    out
 }
 
 /// Parses one line and verifies its checksum.
@@ -193,8 +199,21 @@ impl Log {
 
     /// Appends one record and flushes it to the OS.
     pub fn append<R: Record>(&mut self, record: &R) -> Result<(), String> {
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Appends `records` in order with one write, then flushes. The
+    /// file gets the same bytes as one [`Log::append`] per record.
+    pub fn append_all<R: Record>(&mut self, records: &[R]) -> Result<(), String> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let mut text = String::with_capacity(160 * records.len());
+        for record in records {
+            render_into(record, &mut text);
+        }
         self.file
-            .write_all(render(record).as_bytes())
+            .write_all(text.as_bytes())
             .and_then(|()| self.file.flush())
             .map_err(|e| format!("append {}: {e}", self.path.display()))
     }
@@ -330,6 +349,32 @@ mod tests {
         assert_eq!(again.dropped, 0, "the torn tail was compacted away");
         assert!(!path.with_extension("tmp").exists(), "no temp file left");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn append_all_writes_the_bytes_of_one_append_per_record() {
+        let records = [
+            Pair(1, "x".into()),
+            Pair(2, "y\n".into()),
+            Pair(3, "".into()),
+        ];
+        let (one, all) = (temp_log("one"), temp_log("all"));
+        let (mut log, _) = Log::open::<Pair>(&one).expect("open");
+        for record in &records {
+            log.append(record).expect("append");
+        }
+        let (mut log, _) = Log::open::<Pair>(&all).expect("open");
+        log.append_all::<Pair>(&[]).expect("empty batch");
+        log.append_all(&records).expect("append_all");
+        let bytes = std::fs::read(&all).unwrap();
+        assert_eq!(bytes, std::fs::read(&one).unwrap());
+        assert_eq!(
+            salvage::<Pair>(std::str::from_utf8(&bytes).unwrap()).records,
+            records
+        );
+        for path in [one, all] {
+            std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! of re-simulated, and the served bytes are identical to a fresh run:
 //! rendered text verbatim, metric `f64`s through Rust's
 //! shortest-round-trip formatting, and the stored output digest
-//! re-verified on every read.
+//! re-verified on every read. A hit hands that verified digest back
+//! with the output, so the caller never hashes the output again.
 //!
 //! Layout and durability:
 //!
@@ -137,8 +138,9 @@ impl Record for Entry {
     }
 }
 
-/// Parses and fully validates one entry file's text for `key`.
-fn parse_entry(key: u64, text: &str) -> Result<TrialOutput, String> {
+/// Parses and fully validates one entry file's text for `key`: the
+/// output and its verified [`output_digest`].
+fn parse_entry(key: u64, text: &str) -> Result<(TrialOutput, u64), String> {
     let entry: Entry = durable::parse(text)?;
     if entry.key != key {
         return Err("entry key does not match its address".to_string());
@@ -146,7 +148,7 @@ fn parse_entry(key: u64, text: &str) -> Result<TrialOutput, String> {
     if output_digest(&entry.output) != entry.digest {
         return Err("entry output digest mismatch".to_string());
     }
-    Ok(entry.output)
+    Ok((entry.output, entry.digest))
 }
 
 impl ResultCache {
@@ -242,11 +244,13 @@ impl ResultCache {
         }
     }
 
-    /// Looks `key` up. A valid entry counts a hit and refreshes its
-    /// recency; a missing entry counts a miss; a corrupt entry counts
-    /// both a miss and [`CacheStats::corrupt`], and the damaged file is
-    /// deleted so the recomputed result can take its place.
-    pub fn get(&mut self, key: u64) -> Option<TrialOutput> {
+    /// Looks `key` up. A valid entry counts a hit, refreshes its
+    /// recency and returns the output with its [`output_digest`],
+    /// verified against the output on this read. A missing entry
+    /// counts a miss; a corrupt entry counts both a miss and
+    /// [`CacheStats::corrupt`], and the damaged file is deleted so the
+    /// recomputed result can take its place.
+    pub fn get(&mut self, key: u64) -> Option<(TrialOutput, u64)> {
         if !self.sizes.contains_key(&key) {
             self.stats.misses += 1;
             return None;
@@ -256,10 +260,10 @@ impl ResultCache {
             .map_err(|e| format!("read: {e}"))
             .and_then(|text| parse_entry(key, &text));
         match outcome {
-            Ok(output) => {
+            Ok(hit) => {
                 self.touch(key);
                 self.stats.hits += 1;
-                Some(output)
+                Some(hit)
             }
             Err(_) => {
                 let _ = std::fs::remove_file(&path);
@@ -345,16 +349,16 @@ mod tests {
         assert_eq!(cache.stats().misses, 1);
         let o = output("a");
         cache.put(7, &o).expect("put");
-        let back = cache.get(7).expect("hit");
+        let (back, digest) = cache.get(7).expect("hit");
         assert_eq!(back.rendered, o.rendered);
         assert_eq!(back.metrics, o.metrics);
-        assert_eq!(output_digest(&back), output_digest(&o));
+        assert_eq!(digest, output_digest(&o));
         assert_eq!(cache.stats().hits, 1);
         // A new process over the same directory sees the entry.
         let mut reopened = ResultCache::open(&config).expect("reopen");
         assert_eq!(reopened.len(), 1);
         assert_eq!(
-            reopened.get(7).expect("persistent hit").rendered,
+            reopened.get(7).expect("persistent hit").0.rendered,
             o.rendered
         );
         std::fs::remove_dir_all(&config.dir).ok();
@@ -378,7 +382,7 @@ mod tests {
                 "\n"
             )
         );
-        assert_eq!(cache.get(0xfeed), Some(o));
+        assert_eq!(cache.get(0xfeed), Some((o, 0x4ea43988f33e157a)));
         std::fs::remove_dir_all(&config.dir).ok();
     }
 

@@ -178,6 +178,12 @@ impl Journal {
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), ServiceError> {
         self.0.append(record).map_err(ServiceError::Journal)
     }
+
+    /// Appends `records` in order with one write and flushes them: the
+    /// same bytes as one [`Journal::append`] per record.
+    pub fn append_all(&mut self, records: &[JournalRecord]) -> Result<(), ServiceError> {
+        self.0.append_all(records).map_err(ServiceError::Journal)
+    }
 }
 
 #[cfg(test)]

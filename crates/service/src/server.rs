@@ -545,16 +545,8 @@ impl Service {
                             _ => None,
                         }
                     });
-                    let resolved = memo.or_else(|| {
-                        inner
-                            .cache
-                            .as_ref()
-                            .and_then(|c| lock(c).get(*cell))
-                            .map(|output| {
-                                let digest = output_digest(&output);
-                                (output, digest)
-                            })
-                    });
+                    let resolved =
+                        memo.or_else(|| inner.cache.as_ref().and_then(|c| lock(c).get(*cell)));
                     // A miss (evicted, corrupt, cacheless server)
                     // leaves the cell Pending and it re-runs —
                     // correctness over thrift.
@@ -1071,8 +1063,9 @@ impl Inner {
                     // the leader's output instead of re-running it.
                     st.jobs[job_idx].slots[slot_idx] = Slot::Running;
                     waiters.entry(cell).or_default().push((job_idx, slot_idx));
-                } else if let Some(output) = inner.cache.as_ref().and_then(|c| lock(c).get(cell)) {
-                    let digest = output_digest(&output);
+                } else if let Some((output, digest)) =
+                    inner.cache.as_ref().and_then(|c| lock(c).get(cell))
+                {
                     st.completed_cells.insert(cell, (job_idx, slot_idx));
                     st.jobs[job_idx].slots[slot_idx] = Slot::Done {
                         output,
@@ -1299,14 +1292,12 @@ impl Inner {
 
         // Journal completions after the cache put: a CellDone record
         // promises the output is resolvable on replay, so it must not
-        // land before the cache entry it points at. Appends are
-        // best-effort — a failed append costs a re-run after restart
-        // (which the cache then absorbs), never correctness.
+        // land before the cache entry it points at. The tick's records
+        // go out in one write. Appends are best-effort — a failed
+        // append costs a re-run after restart (which the cache then
+        // absorbs), never correctness.
         if let Some(journal) = &inner.journal {
-            let mut guard = lock(journal);
-            for record in &journal_done {
-                let _ = guard.append(record);
-            }
+            let _ = lock(journal).append_all(&journal_done);
         }
 
         // Completion bookkeeping: count each job's terminal transition

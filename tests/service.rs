@@ -247,6 +247,62 @@ fn tcp_protocol_serves_concurrent_clients_end_to_end() {
     assert_eq!(err.code(), "spec");
 }
 
+/// A frame of nested brackets far deeper than any thread stack could
+/// recurse, yet well under the frame limit, is a typed parse error:
+/// the connection keeps serving and the service still answers a
+/// submit.
+#[test]
+fn a_deeply_nested_frame_is_a_typed_error_not_an_abort() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let service = Arc::new(
+        Service::new(
+            counting_registry(Arc::new(AtomicUsize::new(0))),
+            ServiceConfig::default(),
+        )
+        .expect("service"),
+    );
+    let front = TcpFront::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let addr = front.addr().to_string();
+
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut frame = "[".repeat(400 * 1024);
+    frame.push('\n');
+    writer.write_all(frame.as_bytes()).expect("send frame");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response");
+    let doc = unxpec_telemetry::json::parse(&line).expect("response is JSON");
+    let text = |name| {
+        doc.get(name)
+            .and_then(unxpec_telemetry::json::Value::as_str)
+    };
+    assert_eq!(
+        doc.get("ok"),
+        Some(&unxpec_telemetry::json::Value::Bool(false))
+    );
+    assert_eq!(text("code"), Some("parse"), "{line}");
+    assert!(
+        text("error").is_some_and(|e| e.contains("nesting deeper than 128 at byte 128")),
+        "{line}"
+    );
+
+    // The same connection still serves.
+    let submit = unxpec_service::render_request(&unxpec_service::Request::Submit {
+        tenant: "alice".into(),
+        spec: SPEC.into(),
+    });
+    writer.write_all(submit.as_bytes()).expect("send submit");
+    line.clear();
+    reader.read_line(&mut line).expect("submit response");
+    assert!(line.starts_with("{\"ok\": true"), "{line}");
+
+    let mut client = Client::connect(&addr).expect("connect again");
+    let submitted = client.submit("bob", SPEC_B).expect("bob submits");
+    assert_eq!(submitted.trials, 8);
+}
+
 /// The pinned digest of the golden spec's first cell
 /// (`timeline`, first variant, seed index 0). If this assertion ever
 /// fails without an intentional `DIGEST_VERSION` bump, the cache key
@@ -307,8 +363,9 @@ proptest! {
         bytes[pos] ^= flip;
         std::fs::write(&path, &bytes).expect("tamper");
         match cache.get(0xfeed) {
-            Some(served) => {
+            Some((served, digest)) => {
                 // Only a semantically identical document may be served.
+                prop_assert_eq!(digest, unxpec_harness::output_digest(&original));
                 prop_assert_eq!(served.rendered, original.rendered);
                 prop_assert_eq!(served.metrics, original.metrics);
                 prop_assert_eq!(cache.stats().corrupt, 0);

@@ -3,7 +3,10 @@
 //! duration depends on the secret — the unXpec channel, made visible.
 //! The structural half validates the exported document itself —
 //! bracket matching, span well-formedness, track metadata — over
-//! adversarial (fault-injected) chaos captures.
+//! adversarial (fault-injected) chaos captures. The last part checks
+//! the JSON layer every export and durable file goes through: `parse`
+//! round-trips escaped trees, agrees with `validate` on mutated
+//! documents, and reads durable records back equal.
 
 use unxpec::attack::registry::{registry, TriggerKind};
 use unxpec::attack::{AttackConfig, UnxpecChannel};
@@ -360,4 +363,266 @@ fn registry_merge_combines_parallel_shards() {
     a.merge(&b);
     assert_eq!(a.counter("squashes"), 5);
     json::validate(&a.to_json()).expect("merged dump stays valid");
+}
+
+// ---------------------------------------------------------------------------
+// The JSON layer: `parse` round-trips what the writers produce, agrees
+// with `validate` on every mutated document, and reads durable records
+// back equal.
+// ---------------------------------------------------------------------------
+
+mod json_properties {
+    use std::fmt::{self, Write as _};
+
+    use proptest::prelude::*;
+    use proptest::strategy::Strategy;
+    use proptest::test_runner::TestRng;
+    use unxpec::experiments::seeding::Fnv64;
+    use unxpec::telemetry::json::{self, escape, Value};
+    use unxpec_harness::durable::{self, field, hex, parse_hex, Record};
+    use unxpec_harness::{output_digest, TrialOutput};
+
+    /// Characters that stress the string paths: the escaped ones,
+    /// control characters, and one- to four-byte UTF-8.
+    const ALPHABET: &[char] = &[
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '/',
+        '"',
+        '\\',
+        '\n',
+        '\t',
+        '\r',
+        '\u{0}',
+        '\u{1}',
+        '\u{8}',
+        '\u{c}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '\u{2028}',
+        '日',
+        '本',
+        '\u{1f600}',
+    ];
+
+    fn text(rng: &mut TestRng, max: u64) -> String {
+        (0..rng.below(max))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A finite number: an integer, or a fraction over a wide range of
+    /// magnitudes.
+    fn number(rng: &mut TestRng) -> f64 {
+        if rng.below(2) == 0 {
+            rng.below(1 << 53) as f64 - (1u64 << 52) as f64
+        } else {
+            any::<f64>().new_value(rng)
+        }
+    }
+
+    /// Random `Value` trees, at most `depth` containers deep.
+    struct Trees {
+        depth: u32,
+    }
+
+    impl Trees {
+        fn tree(&self, rng: &mut TestRng, depth: u32) -> Value {
+            let kinds = if depth == 0 { 4 } else { 6 };
+            match rng.below(kinds) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.below(2) == 1),
+                2 => Value::Num(number(rng)),
+                3 => Value::Str(text(rng, 12)),
+                4 => Value::Arr(
+                    (0..rng.below(5))
+                        .map(|_| self.tree(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => Value::Obj(
+                    (0..rng.below(5))
+                        .map(|_| (text(rng, 6), self.tree(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl Strategy for Trees {
+        type Value = Value;
+        fn new_value(&self, rng: &mut TestRng) -> Value {
+            self.tree(rng, self.depth)
+        }
+    }
+
+    /// Writes `v` the way the exporters do: strings through `escape`,
+    /// numbers through Rust's shortest round-trip formatting, and a
+    /// varying amount of whitespace around the structural characters.
+    fn render(v: &Value, rng: &mut TestRng, out: &mut String) {
+        let ws = |rng: &mut TestRng| [" ", "", "\n", "\t ", "\r\n"][rng.below(5) as usize];
+        match v {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(n) => out.push_str(&n.to_string()),
+            Value::Str(s) => out.push_str(&format!("\"{}\"", escape(s))),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(ws(rng));
+                    render(item, rng, out);
+                }
+                out.push_str(ws(rng));
+                out.push(']');
+            }
+            Value::Obj(members) => {
+                out.push('{');
+                for (i, (k, item)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(&format!("{}\"{}\"{}:", ws(rng), escape(k), ws(rng)));
+                    out.push_str(ws(rng));
+                    render(item, rng, out);
+                }
+                out.push_str(ws(rng));
+                out.push('}');
+            }
+        }
+    }
+
+    fn rendered(v: &Value, seed: u64) -> String {
+        let mut out = String::new();
+        render(v, &mut TestRng::from_seed(seed), &mut out);
+        out
+    }
+
+    /// `parse` and `validate` agree on `doc`: both accept, or both
+    /// reject with the same error text.
+    fn agree(doc: &str) {
+        assert_eq!(
+            json::parse(doc).map(|_| ()),
+            json::validate(doc),
+            "parse and validate disagree on {doc:?}"
+        );
+    }
+
+    /// A cache-entry-shaped record: key and digest before the checksum,
+    /// the trial output after it, as the result cache lays it out.
+    #[derive(Debug, PartialEq)]
+    struct EntryLike {
+        key: u64,
+        digest: u64,
+        output: TrialOutput,
+    }
+
+    impl Record for EntryLike {
+        const VERSION: u64 = 1;
+
+        fn checksum(&self) -> u64 {
+            let mut h = Fnv64::new();
+            h.mix(Self::VERSION).mix(self.key).mix(self.digest);
+            durable::mix_output(&mut h, &self.output);
+            h.finish()
+        }
+        fn render_members(&self, out: &mut String) -> fmt::Result {
+            let (key, digest) = (hex(self.key), hex(self.digest));
+            write!(out, "\"key\": \"{key}\", \"digest\": \"{digest}\"")
+        }
+        fn render_tail(&self, out: &mut String) -> fmt::Result {
+            out.push_str(", ");
+            durable::render_output(&self.output, out)
+        }
+        fn from_doc(doc: &Value) -> Result<Self, String> {
+            Ok(EntryLike {
+                key: field(doc, "key", parse_hex)?,
+                digest: field(doc, "digest", parse_hex)?,
+                output: durable::parse_output(doc)?,
+            })
+        }
+    }
+
+    /// Random trial outputs with adversarial rendered text and names.
+    struct Outputs;
+
+    impl Strategy for Outputs {
+        type Value = TrialOutput;
+        fn new_value(&self, rng: &mut TestRng) -> TrialOutput {
+            let mut output = TrialOutput::new(text(rng, 200), vec![]);
+            output.truncated = rng.below(2) == 1;
+            output.metrics = (0..rng.below(6))
+                .map(|_| (text(rng, 8), number(rng)))
+                .collect();
+            output
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn escaped_trees_round_trip_exactly(tree in Trees { depth: 4 }, seed in any::<u64>()) {
+            let doc = rendered(&tree, seed);
+            prop_assert_eq!(json::validate(&doc), Ok(()));
+            prop_assert_eq!(json::parse(&doc), Ok(tree), "{:?}", doc);
+        }
+
+        #[test]
+        fn mutated_documents_parse_exactly_when_they_validate(
+            tree in Trees { depth: 3 },
+            seed in any::<u64>(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            let doc = rendered(&tree, seed).into_bytes();
+            let at = at % (doc.len() + 1);
+            let mut flipped = doc.clone();
+            if let Some(b) = flipped.get_mut(at) {
+                *b ^= byte | 1;
+            }
+            let mut inserted = doc.clone();
+            let structural = b"[]{}\",:\\u0-.eE tfn";
+            inserted.insert(at, structural[usize::from(byte) % structural.len()]);
+            for variant in [doc[..at].to_vec(), flipped, inserted] {
+                agree(&String::from_utf8_lossy(&variant));
+            }
+        }
+
+        #[test]
+        fn cache_entry_records_parse_back_equal(
+            output in Outputs,
+            key in any::<u64>(),
+        ) {
+            let record = EntryLike { key, digest: output_digest(&output), output };
+            let line = durable::render(&record);
+            prop_assert_eq!(line.matches('\n').count(), 1, "one line: {:?}", line);
+            prop_assert_eq!(durable::parse::<EntryLike>(&line), Ok(record));
+        }
+    }
+
+    #[test]
+    fn handwritten_mutations_agree() {
+        for doc in [
+            "",
+            " ",
+            "[",
+            "[[",
+            "{\"a\"",
+            "{\"a\":",
+            "\"\\u12\"",
+            "\"\\ud83d\\ude0\"",
+            "1.",
+            "-",
+            "1e",
+            "[1,]",
+            "{,}",
+            "nul",
+            "[\"\u{1}\"]",
+            "\"a\" \"b\"",
+            "{\"a\":1 \"b\":2}",
+        ] {
+            agree(doc);
+        }
+    }
 }
