@@ -1,8 +1,7 @@
 //! The end-to-end covert channel: calibration, leakage, bandwidth.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use unxpec_cpu::{Core, Defense, Program, ProgramBuilder, Reg};
+use unxpec_mem::seed::Xoshiro256pp;
 use unxpec_stats::{midpoint_threshold, Confusion, Summary};
 
 use crate::config::AttackConfig;
@@ -19,7 +18,7 @@ use crate::sender::{build_round_program, RoundRegs};
 #[derive(Debug, Clone)]
 pub struct MeasurementNoise {
     scale: f64,
-    rng: SmallRng,
+    rng: Xoshiro256pp,
 }
 
 impl MeasurementNoise {
@@ -27,7 +26,7 @@ impl MeasurementNoise {
     pub fn laplace(b: f64, seed: u64) -> Self {
         MeasurementNoise {
             scale: b,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::new(seed),
         }
     }
 
@@ -39,7 +38,7 @@ impl MeasurementNoise {
     }
 
     fn sample(&mut self) -> i64 {
-        let u: f64 = self.rng.gen_range(-0.5..0.5);
+        let u = self.rng.unit() - 0.5;
         let x = -self.scale * u.signum() * (1.0 - 2.0 * u.abs()).ln();
         x.round() as i64
     }
@@ -109,17 +108,6 @@ impl LeakOutcome {
     /// paper), at one sample per bit.
     pub fn bandwidth_bps(&self, clock_hz: f64) -> f64 {
         clock_hz / self.cycles_per_bit()
-    }
-
-    /// Empirical channel capacity in bits per round (the information-
-    /// theoretic payload after accounting for decoding errors).
-    pub fn capacity_bits_per_round(&self) -> f64 {
-        unxpec_stats::empirical_capacity(&self.confusion)
-    }
-
-    /// Information leakage rate in bits/s: capacity × rounds/s.
-    pub fn information_bps(&self, clock_hz: f64) -> f64 {
-        self.capacity_bits_per_round() * clock_hz / self.cycles_per_bit()
     }
 }
 
@@ -346,30 +334,6 @@ impl UnxpecChannel {
             .collect()
     }
 
-    /// Leaks `secrets` with adaptive (SPRT) sampling fitted from
-    /// `calibration`: easy bits cost one sample, noisy ones as many as
-    /// the target error rate `alpha` requires. Returns the guesses and
-    /// the total measurements consumed.
-    pub fn leak_adaptive(
-        &mut self,
-        secrets: &[bool],
-        calibration: &Calibration,
-        alpha: f64,
-    ) -> (Vec<bool>, usize) {
-        let decoder =
-            crate::adaptive::SprtDecoder::fit(&calibration.samples0, &calibration.samples1, alpha);
-        let mut guesses = Vec::with_capacity(secrets.len());
-        let mut total = 0;
-        for &secret in secrets {
-            // The closure borrows `self` mutably per bit.
-            let chan = &mut *self;
-            let decision = decoder.decide(|| chan.measure_bit(secret));
-            total += decision.samples;
-            guesses.push(decision.bit);
-        }
-        (guesses, total)
-    }
-
     /// Leaks a byte string through the noisy channel with Hamming(7,4)
     /// error correction: 14 channel bits per byte, any single bit error
     /// per 7-bit block corrected at decode. Returns
@@ -386,7 +350,7 @@ impl UnxpecChannel {
 
     /// The paper's Fig. 9 test vector: `len` pseudo-random secret bits.
     pub fn random_secret(len: usize, seed: u64) -> Vec<bool> {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::new(seed);
         (0..len).map(|_| rng.gen_bool(0.5)).collect()
     }
 }
@@ -615,74 +579,6 @@ mod config_ablation_tests {
         cfg.next_line_prefetch = true;
         let d = channel_on(cfg).calibrate(15).mean_difference();
         assert!((12.0..=32.0).contains(&d), "{d}");
-    }
-}
-
-#[cfg(test)]
-mod adaptive_channel_tests {
-    use super::*;
-    use unxpec_defense::{CleanupSpec, FuzzyCleanup};
-
-    #[test]
-    fn adaptive_decoding_uses_one_sample_when_quiet() {
-        let mut chan =
-            UnxpecChannel::new(AttackConfig::paper_no_es(), Box::new(CleanupSpec::new()));
-        let cal = chan.calibrate(30);
-        let secrets = UnxpecChannel::random_secret(40, 1);
-        let (guesses, total) = chan.leak_adaptive(&secrets, &cal, 0.01);
-        assert_eq!(guesses, secrets, "quiet channel decodes perfectly");
-        assert!(
-            total <= secrets.len() + 5,
-            "quiet bits should cost ~1 sample each, got {total} for {}",
-            secrets.len()
-        );
-    }
-
-    #[test]
-    fn adaptive_decoding_beats_fuzzy_cleanup() {
-        // Against the dummy-delay mitigation, the SPRT spends extra
-        // samples exactly where the noise lands and still decodes well.
-        let mut chan = UnxpecChannel::new(
-            AttackConfig::paper_no_es(),
-            Box::new(FuzzyCleanup::new(40, 9)),
-        );
-        let cal = chan.calibrate(120);
-        let secrets = UnxpecChannel::random_secret(120, 2);
-        let (guesses, total) = chan.leak_adaptive(&secrets, &cal, 0.02);
-        let correct = guesses.iter().zip(&secrets).filter(|(a, b)| a == b).count();
-        let acc = correct as f64 / secrets.len() as f64;
-        assert!(acc > 0.9, "adaptive accuracy {acc} against fuzzy cleanup");
-        let avg = total as f64 / secrets.len() as f64;
-        assert!(avg > 1.1, "fuzz must cost extra samples: {avg}");
-        assert!(avg < 30.0, "but bounded: {avg}");
-    }
-}
-
-#[cfg(test)]
-mod capacity_tests {
-    use super::*;
-    use unxpec_defense::CleanupSpec;
-
-    #[test]
-    fn noiseless_capacity_is_one_bit_per_round() {
-        let mut chan =
-            UnxpecChannel::new(AttackConfig::paper_no_es(), Box::new(CleanupSpec::new()));
-        chan.calibrate(15);
-        let out = chan.leak(&UnxpecChannel::random_secret(60, 1));
-        assert!((out.capacity_bits_per_round() - 1.0).abs() < 1e-9);
-        assert!(out.information_bps(2e9) > 1e6);
-    }
-
-    #[test]
-    fn noisy_capacity_is_below_one() {
-        let mut chan =
-            UnxpecChannel::new(AttackConfig::paper_no_es(), Box::new(CleanupSpec::new()))
-                .with_measurement_noise(MeasurementNoise::calibrated(4));
-        chan.calibrate(120);
-        let out = chan.leak(&UnxpecChannel::random_secret(300, 2));
-        let cap = out.capacity_bits_per_round();
-        assert!((0.2..0.95).contains(&cap), "capacity {cap}");
-        assert!(out.information_bps(2e9) < out.bandwidth_bps(2e9));
     }
 }
 

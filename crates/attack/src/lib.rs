@@ -20,19 +20,17 @@
 //! and drives the whole campaign:
 //!
 //! * [`UnxpecChannel`] — calibration, thresholding, single-sample /
-//!   majority-vote / Hamming-ECC / adaptive-SPRT decoding;
+//!   majority-vote / Hamming-ECC decoding;
 //! * [`MultiLevelChannel`] — a 2-bits-per-round 4-level extension;
-//! * [`PilotChannel`] — threshold tracking under baseline drift;
 //! * eviction sets by address arithmetic ([`congruent_addresses`]) and
 //!   blind timing search ([`find_eviction_set`]);
 //! * alternative triggers: [`SpectreV2`] (BTB poisoning) and
 //!   [`SpectreRsb`] (return misprediction) — the channel is
 //!   trigger-agnostic;
-//! * the baselines the defenses are validated against: classic
-//!   Spectre v1 ([`SpectreV1`]), the speculative-interference
-//!   contention channel ([`InterferenceChannel`]), and cross-thread
-//!   probe scenarios (dummy miss, delayed downgrade, NoMo
-//!   Prime+Probe).
+//! * the baseline the defenses are validated against: classic
+//!   Spectre v1 ([`SpectreV1`]);
+//! * the [`registry`] of named attack programs and the benign corpus
+//!   ([`benign_registry`]) that the static analyzer is checked against.
 //!
 //! # Examples
 //!
@@ -45,39 +43,28 @@
 //! assert!(cal.mean_difference() > 10.0, "rollback channel must exist");
 //! ```
 
-mod adaptive;
 pub mod benign;
 mod channel;
 mod config;
 mod ecc;
 mod eviction;
-mod interference;
 mod layout;
 mod multilevel;
-mod pilot;
 pub mod registry;
 mod sender;
-mod smt;
 mod spectre;
 mod spectre_rsb;
 mod spectre_v2;
 
-pub use adaptive::{SprtDecision, SprtDecoder};
 pub use benign::{benign_registry, find_benign};
 pub use channel::{Calibration, LeakOutcome, MeasurementNoise, RoundObservation, UnxpecChannel};
 pub use config::AttackConfig;
 pub use ecc::{decode_bytes, encode_bytes, hamming74_decode, hamming74_encode};
 pub use eviction::{congruent_addresses, find_eviction_set, probe_latency};
-pub use interference::InterferenceChannel;
 pub use layout::{AttackLayout, MAX_CHAIN, MAX_LOADS};
 pub use multilevel::{LevelCalibration, MultiLevelChannel};
-pub use pilot::{Drift, PilotChannel, PilotOutcome};
 pub use registry::{find, registry, ProgramSpec, TriggerKind, WitnessShape};
 pub use sender::{build_round_program, RoundRegs};
-pub use smt::{
-    prime_probe_against_nomo, probe_coherence_downgrade, probe_speculative_window,
-    DowngradeOutcome, PrimeProbeOutcome, WindowProbeOutcome,
-};
 pub use spectre::{SpectreOutcome, SpectreV1};
 pub use spectre_rsb::SpectreRsb;
 pub use spectre_v2::{SpectreV2, V2Observation};

@@ -126,7 +126,9 @@ const L1_SETS: u64 = 64;
 /// Assembles every registered attack program.
 ///
 /// Entry names are stable: `spectre`, `spectre_v2`, `spectre_rsb`,
-/// `eviction`, `multilevel`, `smt`, `adaptive`.
+/// `eviction`, `multilevel`, `smt`, `adaptive`. The last two are
+/// program names only: each is an unXpec round under another
+/// configuration, and no module of that name exists.
 pub fn registry() -> Vec<ProgramSpec> {
     let layout = AttackLayout::new(L1_SETS);
     let spec = |name, description, trigger, fn_accesses, transmitters, pairs, program| {
@@ -210,7 +212,7 @@ pub fn registry() -> Vec<ProgramSpec> {
         ),
         spec(
             "adaptive",
-            "unXpec round with four encoding loads (the SPRT decoder's config)",
+            "unXpec round with four encoding loads",
             TriggerKind::ConditionalBranch,
             1,
             4,

@@ -8,8 +8,7 @@
 //! (refresh, SMT/other-process contention), each drawn from a seeded RNG
 //! so experiments stay reproducible.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use unxpec_mem::seed::Xoshiro256pp;
 
 use crate::Cycle;
 
@@ -22,7 +21,7 @@ pub struct NoiseModel {
     spike_prob: f64,
     /// Mean extra cycles of a spike (geometric tail).
     spike_mean: Cycle,
-    rng: SmallRng,
+    rng: Xoshiro256pp,
     enabled: bool,
 }
 
@@ -33,7 +32,7 @@ impl NoiseModel {
             jitter,
             spike_prob,
             spike_mean,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::new(seed),
             enabled: true,
         }
     }
@@ -70,13 +69,13 @@ impl NoiseModel {
             return 0;
         }
         let mut extra = if self.jitter > 0 {
-            self.rng.gen_range(0..=self.jitter)
+            self.rng.up_to(self.jitter)
         } else {
             0
         };
         if self.spike_prob > 0.0 && self.rng.gen_bool(self.spike_prob) {
             // Geometric-ish tail around spike_mean.
-            let u: f64 = self.rng.gen_range(0.05..1.0f64);
+            let u = 0.05 + self.rng.unit() * (1.0 - 0.05);
             extra += (-u.ln() * self.spike_mean as f64) as Cycle;
         }
         extra

@@ -5,8 +5,7 @@
 //! LRU is provided for ablation benches that quantify what the random
 //! policy costs and leaks.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use unxpec_mem::seed::Xoshiro256pp;
 
 /// Which replacement policy a cache level uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,7 +96,7 @@ impl PolicyImpl {
 /// Uniformly random replacement, as CleanupSpec requires for the L1.
 #[derive(Debug)]
 pub struct RandomPolicy {
-    rng: SmallRng,
+    rng: Xoshiro256pp,
 }
 
 impl RandomPolicy {
@@ -105,7 +104,7 @@ impl RandomPolicy {
     /// reproducible).
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::new(seed),
         }
     }
 }
@@ -114,7 +113,7 @@ impl ReplacementPolicy for RandomPolicy {
     fn on_access(&mut self, _set: usize, _way: usize) {}
 
     fn choose_victim(&mut self, _set: usize, candidates: &[usize]) -> usize {
-        candidates[self.rng.gen_range(0..candidates.len())]
+        candidates[self.rng.below(candidates.len() as u64) as usize]
     }
 }
 

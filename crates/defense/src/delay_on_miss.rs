@@ -1,9 +1,8 @@
 //! Delay-on-miss invisible speculation (Sakalis et al., ISCA 2019).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use unxpec_cache::{CacheHierarchy, Cycle};
 use unxpec_cpu::{Defense, FillPolicy, SquashInfo};
+use unxpec_mem::seed::Xoshiro256pp;
 
 /// Delay-on-miss: speculative loads that hit the L1 proceed normally;
 /// speculative L1 *misses* wait until their speculation resolves before
@@ -31,7 +30,7 @@ pub struct DelayOnMiss {
     vp_accuracy: f64,
     vp_hits: u64,
     vp_misses: u64,
-    rng: SmallRng,
+    rng: Xoshiro256pp,
 }
 
 impl DelayOnMiss {
@@ -59,7 +58,7 @@ impl DelayOnMiss {
             vp_accuracy: accuracy,
             vp_hits: 0,
             vp_misses: 0,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::new(seed),
         }
     }
 

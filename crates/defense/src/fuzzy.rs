@@ -1,9 +1,8 @@
 //! Fuzzy (dummy-operation) cleanup — the paper's future-work mitigation.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use unxpec_cache::{CacheHierarchy, Cycle};
 use unxpec_cpu::{Defense, SquashInfo};
+use unxpec_mem::seed::Xoshiro256pp;
 
 use crate::cleanupspec::{CleanupSpec, CleanupStats};
 
@@ -30,7 +29,7 @@ use crate::cleanupspec::{CleanupSpec, CleanupStats};
 pub struct FuzzyCleanup {
     inner: CleanupSpec,
     dummy_span: Cycle,
-    rng: SmallRng,
+    rng: Xoshiro256pp,
     injected: Cycle,
 }
 
@@ -41,7 +40,7 @@ impl FuzzyCleanup {
         FuzzyCleanup {
             inner: CleanupSpec::new(),
             dummy_span,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Xoshiro256pp::new(seed),
             injected: 0,
         }
     }
@@ -72,7 +71,7 @@ impl Defense for FuzzyCleanup {
         let dummy = if self.dummy_span == 0 {
             0
         } else {
-            self.rng.gen_range(0..=self.dummy_span)
+            self.rng.up_to(self.dummy_span)
         };
         self.injected += dummy;
         real_end + dummy

@@ -18,14 +18,12 @@ pub mod ascii;
 pub mod svg;
 
 mod accuracy;
-mod capacity;
 mod histogram;
 mod kde;
 mod summary;
 mod threshold;
 
 pub use accuracy::Confusion;
-pub use capacity::{bac_capacity, empirical_capacity, mutual_information};
 pub use histogram::Histogram;
 pub use kde::Kde;
 pub use summary::{percentile, Summary};

@@ -3,9 +3,8 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::SmallRng;
-use rand::{seq::SliceRandom, Rng, SeedableRng};
 use unxpec_cpu::{Cond, Core, Cycle, Program, ProgramBuilder, Reg};
+use unxpec_mem::seed::Xoshiro256pp;
 use unxpec_mem::Addr;
 
 /// Table base in the simulated address space (clear of the attack
@@ -186,20 +185,20 @@ impl Workload {
 /// The kernel's table words: random values, or for a pointer chase the
 /// successor of each element along one random cycle through all of them.
 fn build_table(spec: &KernelSpec) -> Arc<[u64]> {
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
+    let mut rng = Xoshiro256pp::new(spec.seed);
     let n = spec.elements() as usize;
     if spec.pointer_chase {
         // A single random cycle covering every element, so the chase
         // visits the whole working set.
         let mut perm: Vec<u64> = (0..n as u64).collect();
-        perm[1..].shuffle(&mut rng);
+        rng.shuffle(&mut perm[1..]);
         let mut table = vec![0; n];
         for (i, &from) in perm.iter().enumerate() {
             table[from as usize] = perm[(i + 1) % n];
         }
         table.into()
     } else {
-        (0..n).map(|_| rng.gen()).collect()
+        (0..n).map(|_| rng.next_u64()).collect()
     }
 }
 

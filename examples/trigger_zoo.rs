@@ -1,17 +1,17 @@
 //! Every way to make CleanupSpec roll back — and leak.
 //!
 //! Runs the unXpec receiver through all three Spectre trigger families
-//! (conditional branch, poisoned BTB, desynchronized return stack) and
-//! the speculative-interference receiver against the Invisible
-//! defenses, printing the full channel landscape.
+//! (conditional branch, poisoned BTB, desynchronized return stack),
+//! against CleanupSpec and the unsafe baseline: the rollback-timing
+//! channel does not care which misprediction opened the window.
 //!
 //! ```text
 //! cargo run --release --example trigger_zoo
 //! ```
 
-use unxpec::attack::{AttackConfig, InterferenceChannel, SpectreRsb, SpectreV2, UnxpecChannel};
+use unxpec::attack::{AttackConfig, SpectreRsb, SpectreV2, UnxpecChannel};
 use unxpec::cpu::UnsafeBaseline;
-use unxpec::defense::{CleanupSpec, DelayOnMiss, InvisiSpec};
+use unxpec::defense::CleanupSpec;
 
 fn main() {
     println!("=== rollback-timing (unXpec) channel, per trigger ===");
@@ -34,17 +34,4 @@ fn main() {
         SpectreRsb::new(Box::new(CleanupSpec::new())).timing_difference(40),
         SpectreRsb::new(Box::new(UnsafeBaseline)).timing_difference(40)
     );
-
-    println!("\n=== contention (speculative interference) channel ===");
-    println!(
-        "  vs InvisiSpec:          {:+.1} cycles (the attack that killed Invisible defenses)",
-        InterferenceChannel::new(Box::new(InvisiSpec::new()), 6).timing_difference(40)
-    );
-    println!(
-        "  vs naive delay-on-miss: {:+.1} cycles (unissued loads cannot contend)",
-        InterferenceChannel::new(Box::new(DelayOnMiss::naive()), 6).timing_difference(40)
-    );
-
-    println!("\nEvery class of safe speculation has had its channel:");
-    println!("  Invisible -> interference (Behnia et al.), Undo -> rollback timing (unXpec).");
 }
