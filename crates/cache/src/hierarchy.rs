@@ -773,6 +773,7 @@ impl CacheHierarchy {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
+    use crate::line::CoherenceState;
 
     fn hier() -> CacheHierarchy {
         CacheHierarchy::new(HierarchyConfig::table_i(), 1)
@@ -978,6 +979,68 @@ mod tests {
         let t1 = h.fetch_inst(line, 0);
         let t2 = h.fetch_inst(line, t1);
         assert!(t2 - t1 < t1, "second fetch must hit L1I");
+    }
+
+    #[test]
+    fn external_read_supplies_and_downgrades_resident_lines() {
+        let mut h = hier();
+        // An architectural dirty line reveals it was Modified.
+        let dirty = LineAddr::new(0x6000);
+        let t = h.write_data(dirty, 0).complete_cycle;
+        let probe = h.serve_external_read(dirty, t + 1);
+        assert!(probe.observed_hit);
+        assert_eq!(probe.downgraded_from, Some(CoherenceState::Modified));
+        // The unprotected read serves a speculative install the same
+        // way: fast, and downgraded.
+        let spec = LineAddr::new(0x7000);
+        let t = h.access_data(spec, t + 10, Some(SpecTag(2))).complete_cycle;
+        let probe = h.serve_external_read(spec, t + 1);
+        assert!(probe.observed_hit);
+        assert!(probe.downgraded_from.is_some());
+        assert_eq!(
+            probe.latency,
+            h.config().l1d.hit_latency + h.config().l2.hit_latency
+        );
+        let absent = h.serve_external_read(LineAddr::new(0x8000), t + 2);
+        assert!(!absent.observed_hit);
+        assert_eq!(absent.latency, h.external_miss_latency());
+    }
+
+    /// SMT Prime+Probe: thread 0 warms one line, then thread 1 hammers
+    /// its L1 set with `rounds × lines` congruent lines.
+    fn prime_probe(cfg: HierarchyConfig, rounds: u64, lines: u64) -> CacheHierarchy {
+        let mut h = CacheHierarchy::new(cfg, 2);
+        let sets = h.config().l1d.sets as u64;
+        let victim = LineAddr::new(7);
+        let mut cycle = h.access_data_as(victim, 0, None, 0).complete_cycle;
+        for round in 0..rounds {
+            for i in 0..lines {
+                let line = LineAddr::new(7 + (i + 1 + round * 64) * sets);
+                cycle = h.access_data_as(line, cycle, None, 1).complete_cycle;
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn nomo_keeps_the_victims_line_under_smt_prime_probe() {
+        // Far beyond the associativity, the attacker thread still cannot
+        // evict the line in the victim's reserved way...
+        let h = prime_probe(HierarchyConfig::table_i(), 4, 32);
+        let victim = LineAddr::new(7);
+        assert!(h.l1_contains(victim), "NoMo must protect the reserved way");
+        // ...and holds at most its own reserved plus the shared ways.
+        let set = h.l1_set_of(victim);
+        let attacker = h.l1d().set_lines(set).flatten();
+        assert!(attacker.filter(|m| m.line != victim).count() <= 7);
+    }
+
+    #[test]
+    fn without_nomo_smt_prime_probe_evicts_the_victim() {
+        let mut cfg = HierarchyConfig::table_i();
+        cfg.nomo_reserved_ways = 0;
+        let h = prime_probe(cfg, 6, 16);
+        assert!(!h.l1_contains(LineAddr::new(7)));
     }
 }
 

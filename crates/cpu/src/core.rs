@@ -447,15 +447,6 @@ impl Core {
         self.defense.record_metrics(reg);
     }
 
-    /// Services a cross-thread/cross-core read probe for `line` through
-    /// the active defense (CleanupSpec answers dummy misses for
-    /// speculative installs; the baseline answers honestly).
-    pub fn external_probe(&mut self, line: unxpec_mem::LineAddr) -> unxpec_cache::ExternalProbe {
-        let cycle = self.clock;
-        self.defense
-            .serve_external_probe(&mut self.hier, line, cycle)
-    }
-
     /// Runs `program` until `Halt` (or a safety bound).
     pub fn run(&mut self, program: &Program) -> RunResult {
         self.run_for(program, u64::MAX)

@@ -346,7 +346,7 @@ impl Defense for CleanupSpec {
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use unxpec_cache::{HierarchyConfig, SpecTag};
+    use unxpec_cache::{CoherenceState, HierarchyConfig, SpecTag};
     use unxpec_cpu::SquashInfo;
     use unxpec_mem::LineAddr;
 
@@ -561,6 +561,51 @@ mod tests {
             d.on_squash(&mut h, &squash_info(1000, &out.effects, 1)) - 1000
         };
         assert_eq!(cost(0x1000), cost(0x2040));
+    }
+
+    #[test]
+    fn speculative_install_is_served_as_a_dummy_miss() {
+        // A victim load installs a line under an unresolved branch; a
+        // sibling thread probes it during the speculation window.
+        let probe_window = |d: &mut dyn Defense| {
+            let mut h = hier();
+            let line = LineAddr::new(0x5000);
+            let out = h.access_data(line, 0, Some(SpecTag(1)));
+            let t = out.complete_cycle;
+            let during = d.serve_external_probe(&mut h, line, t + 1);
+            // The branch resolves correct: the install is architectural.
+            d.on_commit_epoch(&mut h, &out.effects);
+            let after = d.serve_external_probe(&mut h, line, t + 100);
+            (during, after, h.external_miss_latency())
+        };
+        let (during, _, _) = probe_window(&mut unxpec_cpu::UnsafeBaseline);
+        assert!(during.observed_hit, "the baseline serves anyone");
+        assert!(during.latency < 30);
+        let mut d = CleanupSpec::new();
+        let (during, after, miss) = probe_window(&mut d);
+        assert!(!during.observed_hit, "the dummy miss hides the install");
+        // It costs exactly what a real miss costs.
+        assert_eq!(during.latency, miss);
+        assert!(after.observed_hit, "committed lines are served");
+        assert_eq!(d.stats().dummy_misses, 1);
+    }
+
+    #[test]
+    fn downgrade_of_a_speculative_line_is_delayed() {
+        let mut h = hier();
+        let mut d = CleanupSpec::new();
+        // An architectural Modified line downgrades as usual...
+        let dirty = LineAddr::new(0x6000);
+        let t = h.write_data(dirty, 0).complete_cycle;
+        let probe = d.serve_external_probe(&mut h, dirty, t + 1);
+        assert_eq!(probe.downgraded_from, Some(CoherenceState::Modified));
+        // ...a speculative one shows neither a hit nor a downgrade.
+        let spec = LineAddr::new(0x7000);
+        let t = h.access_data(spec, t + 10, Some(SpecTag(2))).complete_cycle;
+        let probe = d.serve_external_probe(&mut h, spec, t + 1);
+        assert_eq!(probe.downgraded_from, None);
+        assert!(!probe.observed_hit);
+        assert!(h.any_speculative(spec), "the install stays speculative");
     }
 }
 

@@ -41,7 +41,7 @@ pub mod journal;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheConfig, CacheStats, ResultCache};
+pub use cache::{CacheConfig, CacheStats, DigestedOutput, ResultCache};
 pub use chaosproxy::{ChaosConfig, ChaosProxy, FaultKind};
 pub use client::{Client, RemoteStatus, ResilientClient, Submitted};
 pub use error::ServiceError;
