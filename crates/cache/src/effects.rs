@@ -106,6 +106,88 @@ pub struct ExternalProbe {
     pub downgraded_from: Option<crate::line::CoherenceState>,
 }
 
+/// The fill effects of one access, inline: at most an L2 fill, then an
+/// L1 fill, so a miss reports them without touching the heap. Derefs
+/// to `&[Effect]`. Slots past `len` always hold the same placeholder, so
+/// the derived equality compares only what was pushed.
+///
+/// ```
+/// use unxpec_cache::{CacheHierarchy, HierarchyConfig};
+/// use unxpec_mem::LineAddr;
+///
+/// let mut hier = CacheHierarchy::new(HierarchyConfig::table_i(), 1);
+/// let out = hier.access_data(LineAddr::new(7), 0, None);
+/// // A cold miss fills the L2, then the L1.
+/// assert_eq!(out.effects.len(), 2);
+/// assert!(!out.effects[0].is_l1() && out.effects[1].is_l1());
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Effects {
+    slots: [Effect; 2],
+    len: u8,
+}
+
+impl Effects {
+    /// Fills slots not yet pushed; never visible through the slice.
+    const VACANT: Effect = Effect::FillL1 {
+        line: LineAddr::new(0),
+        set: 0,
+        way: 0,
+        victim: None,
+    };
+
+    /// No effects (a hit, a merge, or a fill-free access).
+    pub const fn new() -> Self {
+        Effects {
+            slots: [Self::VACANT; 2],
+            len: 0,
+        }
+    }
+
+    /// Appends `effect`. The hierarchy pushes at most two per access
+    /// (L2 fill, then L1 fill); a third is dropped, and flagged in
+    /// debug builds.
+    pub(crate) fn push(&mut self, effect: Effect) {
+        debug_assert!(
+            (self.len as usize) < self.slots.len(),
+            "more than two fill effects"
+        );
+        if let Some(slot) = self.slots.get_mut(self.len as usize) {
+            *slot = effect;
+            self.len += 1;
+        }
+    }
+}
+
+impl Default for Effects {
+    fn default() -> Self {
+        Effects::new()
+    }
+}
+
+impl std::ops::Deref for Effects {
+    type Target = [Effect];
+
+    fn deref(&self) -> &[Effect] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for Effects {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Effects {
+    type Item = Effect;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Effect, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().take(self.len as usize)
+    }
+}
+
 /// Result of a data access against the hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -116,7 +198,7 @@ pub struct AccessOutcome {
     /// Which level serviced the access.
     pub level: HitLevel,
     /// State changes made on the fill path.
-    pub effects: Vec<Effect>,
+    pub effects: Effects,
 }
 
 impl AccessOutcome {
@@ -167,9 +249,42 @@ mod tests {
             issue_cycle: 10,
             complete_cycle: 14,
             level: HitLevel::L1,
-            effects: vec![],
+            effects: Effects::new(),
         };
         assert_eq!(o.latency(), 4);
         assert!(o.is_l1_hit());
+    }
+
+    #[test]
+    fn effects_hold_two_fills_in_push_order() {
+        let fill = |line, l1| {
+            let line = LineAddr::new(line);
+            if l1 {
+                Effect::FillL1 {
+                    line,
+                    set: 1,
+                    way: 0,
+                    victim: None,
+                }
+            } else {
+                Effect::FillL2 {
+                    line,
+                    set: 1,
+                    way: 0,
+                    victim: None,
+                }
+            }
+        };
+        let mut e = Effects::new();
+        assert!(e.is_empty());
+        assert_eq!(e, Effects::default());
+        e.push(fill(3, false));
+        e.push(fill(3, true));
+        assert_eq!(&*e, &[fill(3, false), fill(3, true)]);
+        assert_eq!(e.into_iter().collect::<Vec<_>>(), e.to_vec());
+        let mut one = Effects::new();
+        one.push(fill(3, false));
+        assert_ne!(e, one, "only pushed slots compare");
+        assert_eq!(format!("{one:?}"), format!("{:?}", [fill(3, false)]));
     }
 }

@@ -5,7 +5,7 @@ use unxpec_telemetry::{CacheLevel, Event, MetricsRegistry, Telemetry};
 
 use crate::cache::Cache;
 use crate::config::HierarchyConfig;
-use crate::effects::{AccessOutcome, Effect, ExternalProbe, HitLevel};
+use crate::effects::{AccessOutcome, Effect, Effects, ExternalProbe, HitLevel};
 use crate::fault::{FaultInjector, FaultKind};
 use crate::line::{LineMeta, SpecTag};
 use crate::mshr::MshrFile;
@@ -185,7 +185,7 @@ impl CacheHierarchy {
                 issue_cycle: cycle,
                 complete_cycle: entry.complete_cycle.max(cycle + l1_lat),
                 level: HitLevel::MshrMerge,
-                effects: vec![],
+                effects: Effects::new(),
             };
         }
         if self.l1d.access(line).is_some() {
@@ -198,7 +198,7 @@ impl CacheHierarchy {
                 issue_cycle: cycle,
                 complete_cycle: cycle + l1_lat,
                 level: HitLevel::L1,
-                effects: vec![],
+                effects: Effects::new(),
             };
         }
         self.telemetry.emit(Event::CacheMiss {
@@ -223,7 +223,7 @@ impl CacheHierarchy {
                 detail: extra,
             });
         }
-        let mut effects = Vec::new();
+        let mut effects = Effects::new();
         // L2 pipeline occupancy.
         let l2_start = (issue + l1_lat).max(self.l2_next_free);
         self.l2_next_free = l2_start + self.cfg.l2_init_interval;
@@ -459,7 +459,7 @@ impl CacheHierarchy {
                 issue_cycle: cycle,
                 complete_cycle: cycle + l1_lat,
                 level: HitLevel::L1,
-                effects: vec![],
+                effects: Effects::new(),
             };
         }
         let l2_start = (cycle + l1_lat).max(self.l2_next_free);
@@ -476,7 +476,7 @@ impl CacheHierarchy {
             issue_cycle: cycle,
             complete_cycle: done,
             level,
-            effects: vec![],
+            effects: Effects::new(),
         }
     }
 

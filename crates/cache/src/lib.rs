@@ -51,7 +51,7 @@ mod stats;
 pub use cache::{Cache, InsertOutcome};
 pub use ceaser::CeaserMapper;
 pub use config::{CacheConfig, HierarchyConfig};
-pub use effects::{AccessOutcome, Effect, ExternalProbe, HitLevel, Victim};
+pub use effects::{AccessOutcome, Effect, Effects, ExternalProbe, HitLevel, Victim};
 pub use error::CacheError;
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRecord};
 pub use hierarchy::CacheHierarchy;

@@ -39,6 +39,11 @@ pub struct MshrEntry {
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<MshrEntry>,
+    /// Lower bound on the earliest `complete_cycle` among `entries`
+    /// (`Cycle::MAX` when the file is empty): lowered on allocation,
+    /// recomputed on retirement, so `retire_completed` skips its scan
+    /// while nothing can have completed.
+    earliest_complete: Cycle,
     peak_occupancy: usize,
     cancelled_speculative: u64,
     /// Lifetime allocations, for leak accounting: every allocated
@@ -59,6 +64,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             entries: Vec::with_capacity(capacity),
+            earliest_complete: Cycle::MAX,
             peak_occupancy: 0,
             cancelled_speculative: 0,
             allocated_total: 0,
@@ -67,9 +73,18 @@ impl MshrFile {
     }
 
     fn retire_completed(&mut self, now: Cycle) {
+        if now < self.earliest_complete {
+            return;
+        }
         let before = self.entries.len();
         self.entries.retain(|e| e.complete_cycle > now);
         self.released_total += (before - self.entries.len()) as u64;
+        self.earliest_complete = self
+            .entries
+            .iter()
+            .map(|e| e.complete_cycle)
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// Finds an inflight entry for `line`, retiring completed entries
@@ -108,6 +123,7 @@ impl MshrFile {
             spec,
         });
         self.allocated_total += 1;
+        self.earliest_complete = self.earliest_complete.min(complete_cycle);
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         Ok(())
     }
@@ -315,6 +331,114 @@ mod tests {
         assert!(m.verify_accounting().is_ok());
         assert_eq!(m.allocated_total(), 3);
         assert_eq!(m.released_total(), 2);
+    }
+
+    /// The file without the retirement bound: every query scans.
+    struct Reference {
+        capacity: usize,
+        entries: Vec<MshrEntry>,
+        peak: usize,
+        allocated: u64,
+        released: u64,
+    }
+
+    impl Reference {
+        fn retire(&mut self, now: Cycle) {
+            let before = self.entries.len();
+            self.entries.retain(|e| e.complete_cycle > now);
+            self.released += (before - self.entries.len()) as u64;
+        }
+
+        fn earliest(&self, now: Cycle) -> Cycle {
+            self.entries
+                .iter()
+                .map(|e| e.complete_cycle)
+                .min()
+                .unwrap_or(now)
+        }
+    }
+
+    #[test]
+    fn retirement_bound_matches_a_scanning_reference() {
+        use unxpec_mem::seed::Xoshiro256pp;
+        for seed in 0..64 {
+            let mut rng = Xoshiro256pp::new(seed);
+            let capacity = 1 + rng.below(6) as usize;
+            let mut m = MshrFile::new(capacity);
+            let mut r = Reference {
+                capacity,
+                entries: Vec::new(),
+                peak: 0,
+                allocated: 0,
+                released: 0,
+            };
+            let mut now: Cycle = 0;
+            for _ in 0..400 {
+                // Time mostly creeps forward, sometimes jumps, and
+                // sometimes a query repeats or revisits an older cycle.
+                now = match rng.below(8) {
+                    0 => now + rng.below(300),
+                    1 => now.saturating_sub(rng.below(20)),
+                    _ => now + rng.below(4),
+                };
+                let line = LineAddr::new(rng.below(8));
+                match rng.below(5) {
+                    0 => {
+                        r.retire(now);
+                        let want = r.entries.iter().copied().find(|e| e.line == line);
+                        assert_eq!(m.lookup(line, now), want, "seed {seed}");
+                    }
+                    1 => {
+                        let done = now + 1 + rng.below(200);
+                        let spec = rng.gen_bool(0.5).then(|| SpecTag(1 + rng.below(4)));
+                        r.retire(now);
+                        let want = if r.entries.len() >= r.capacity {
+                            Err(r.earliest(now))
+                        } else {
+                            r.entries.push(MshrEntry {
+                                line,
+                                complete_cycle: done,
+                                spec,
+                            });
+                            r.allocated += 1;
+                            r.peak = r.peak.max(r.entries.len());
+                            Ok(())
+                        };
+                        assert_eq!(m.allocate(line, now, done, spec), want, "seed {seed}");
+                    }
+                    2 => {
+                        let squashed = 1 + rng.below(4);
+                        r.retire(now);
+                        let before = r.entries.len();
+                        r.entries.retain(|e| e.spec.is_none_or(|t| t.0 < squashed));
+                        let n = before - r.entries.len();
+                        r.released += n as u64;
+                        assert_eq!(
+                            m.cancel_speculative(now, |t| t.0 >= squashed),
+                            n,
+                            "seed {seed}"
+                        );
+                    }
+                    3 => {
+                        r.retire(now);
+                        let want = if r.entries.len() < r.capacity {
+                            now
+                        } else {
+                            r.earliest(now)
+                        };
+                        assert_eq!(m.next_free_cycle(now), want, "seed {seed}");
+                    }
+                    _ => {
+                        r.retire(now);
+                        assert_eq!(m.occupancy(now), r.entries.len(), "seed {seed}");
+                    }
+                }
+                assert_eq!(m.peak_occupancy(), r.peak, "seed {seed}");
+                assert_eq!(m.allocated_total(), r.allocated, "seed {seed}");
+                assert_eq!(m.released_total(), r.released, "seed {seed}");
+                assert!(m.verify_accounting().is_ok(), "seed {seed}");
+            }
+        }
     }
 
     #[test]

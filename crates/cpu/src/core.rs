@@ -11,9 +11,11 @@
 //! wrong path, which is exactly the speculative pollution unXpec and
 //! CleanupSpec are about.
 //!
-//! Every conditional branch opens a *speculation frame* holding a
-//! register checkpoint and the cache effects accumulated while the frame
-//! is open. When the branch's operands become ready the frame resolves:
+//! Every conditional branch, indirect jump and return opens a
+//! *speculation frame*. A mispredicted one also pushes a register
+//! checkpoint, and every cache effect made while any frame is open goes
+//! to one run-wide log. When the branch's operands become ready the
+//! frame resolves:
 //!
 //! * predicted correctly — the frame pops; its loads' speculative tags
 //!   commit once no enclosing frame remains;
@@ -27,8 +29,10 @@
 //! [`SquashRecord`]s collected per run expose T1–T2 (resolution time) and
 //! T2–T6 (cleanup) to the experiment harness.
 
-use unxpec_cache::{CacheHierarchy, Cycle, Effect, HierarchyConfig, SpecTag};
-use unxpec_mem::{Addr, Memory};
+use std::collections::VecDeque;
+
+use unxpec_cache::{CacheHierarchy, Cycle, Effect, Effects, HierarchyConfig, SpecTag};
+use unxpec_mem::{Addr, LineAddr, Memory};
 use unxpec_telemetry::{Event, MetricsRegistry, Telemetry};
 
 use crate::arch::{self, Flow};
@@ -90,32 +94,29 @@ impl RunResult {
     }
 }
 
-/// A speculation frame: one unresolved conditional branch.
+/// A speculation frame: one unresolved branch, indirect jump or return.
 ///
-/// Frames are pooled by the [`Core`] and recycled across branches: the
-/// struct is ~600 bytes of checkpoint state plus two effect buffers, so
-/// allocating (and memmoving) one per branch dominated the cycle loop.
-/// Pooled frames live in `Box`es — pushing one into the open-frame
-/// stack moves a pointer, not the checkpoint arrays — and their effect
-/// buffers keep their capacity from squash to squash.
-#[derive(Debug)]
+/// A frame owns no effects and no register state. It records where its
+/// records begin in the run's [`SpecStorage`]: the lengths of the effect
+/// and deferred-line logs when it opened, and, if it opened
+/// mispredicted, the index of its checkpoint. Every record logged after
+/// a frame opens belongs to it (and to every younger frame), so a
+/// squash rolls back the log's tail from the frame's start, and a
+/// correct resolve that empties the stack commits that same tail.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     epoch: SpecTag,
     branch_pc: PcIndex,
     dispatch_cycle: Cycle,
     resolve_cycle: Cycle,
-    mispredicted: bool,
     correct_pc: PcIndex,
-    ckpt_regs: [u64; NUM_REGS],
-    ckpt_avail: [Cycle; NUM_REGS],
-    ckpt_last_complete: Cycle,
-    ckpt_last_mem: Cycle,
-    open_seq: u64,
-    /// `(seq, effect)` of loads executed while this frame was open.
-    effects: Vec<(u64, Effect)>,
-    /// `(seq, line)` of invisible-policy speculative loads (filled only
-    /// at commit).
-    spec_lines: Vec<(u64, unxpec_mem::LineAddr)>,
+    /// Index into [`SpecStorage::checkpoints`]; `Some` exactly when the
+    /// frame opened mispredicted (only those ever restore one).
+    checkpoint: Option<usize>,
+    /// [`SpecStorage::effect_log`] length when the frame opened.
+    effects_start: usize,
+    /// [`SpecStorage::line_log`] length when the frame opened.
+    lines_start: usize,
     /// Run-wide load/instruction counts when the frame opened. The
     /// frame's own totals are derived by subtraction at squash time, so
     /// dispatch never walks the open-frame stack to bump counters.
@@ -123,58 +124,59 @@ struct Frame {
     insts_at_open: u64,
 }
 
-impl Frame {
-    /// A blank frame for the pool.
-    fn blank() -> Self {
-        Frame {
-            epoch: SpecTag(0),
-            branch_pc: 0,
-            dispatch_cycle: 0,
-            resolve_cycle: 0,
-            mispredicted: false,
-            correct_pc: 0,
-            ckpt_regs: [0; NUM_REGS],
-            ckpt_avail: [0; NUM_REGS],
-            ckpt_last_complete: 0,
-            ckpt_last_mem: 0,
-            open_seq: 0,
-            effects: Vec::new(),
-            spec_lines: Vec::new(),
-            loads_at_open: 0,
-            insts_at_open: 0,
+/// The architectural state a mispredicted frame rolls back to.
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    regs: [u64; NUM_REGS],
+    avail: [Cycle; NUM_REGS],
+    last_complete: Cycle,
+    last_mem: Cycle,
+}
+
+/// The run's speculation bookkeeping, kept by the [`Core`] across runs
+/// so its buffers keep their capacity and steady-state runs allocate
+/// nothing.
+///
+/// Both logs are empty whenever no frame is open: a load logs its
+/// effects only under an open frame, and the resolve that closes the
+/// last frame clears them.
+#[derive(Debug, Default)]
+struct SpecStorage {
+    /// Open frames, oldest first.
+    frames: VecDeque<Frame>,
+    /// Checkpoints of the open mispredicted frames, oldest first.
+    checkpoints: Vec<Checkpoint>,
+    /// Fill effects of loads issued under an open frame, oldest first.
+    effect_log: Vec<Effect>,
+    /// Lines of fill-at-commit speculative loads (filled only when the
+    /// last frame resolves correct).
+    line_log: Vec<LineAddr>,
+}
+
+impl SpecStorage {
+    /// Logs one load's fill effects and deferred line, if a frame is
+    /// open to own them.
+    fn log(&mut self, effects: &[Effect], line: Option<LineAddr>) {
+        if self.frames.is_empty() {
+            return;
+        }
+        self.effect_log.extend_from_slice(effects);
+        if let Some(line) = line {
+            self.line_log.push(line);
         }
     }
 
-    /// Re-arms a pooled frame for a new unresolved branch, snapshotting
-    /// the architectural checkpoint from `st`. The effect buffers are
-    /// cleared but keep their capacity.
-    #[allow(clippy::too_many_arguments)]
-    fn arm(
-        &mut self,
-        st: &Exec,
-        epoch: SpecTag,
-        branch_pc: PcIndex,
-        dispatch_cycle: Cycle,
-        resolve_cycle: Cycle,
-        mispredicted: bool,
-        correct_pc: PcIndex,
-        open_seq: u64,
-    ) {
-        self.epoch = epoch;
-        self.branch_pc = branch_pc;
-        self.dispatch_cycle = dispatch_cycle;
-        self.resolve_cycle = resolve_cycle;
-        self.mispredicted = mispredicted;
-        self.correct_pc = correct_pc;
-        self.ckpt_regs = st.regs;
-        self.ckpt_avail = st.avail;
-        self.ckpt_last_complete = st.last_complete;
-        self.ckpt_last_mem = st.last_mem;
-        self.open_seq = open_seq;
-        self.effects.clear();
-        self.spec_lines.clear();
-        self.loads_at_open = st.loads_issued;
-        self.insts_at_open = st.dispatched();
+    fn clear_logs(&mut self) {
+        self.effect_log.clear();
+        self.line_log.clear();
+    }
+
+    /// Drops every frame and record (frames still open when a run ends
+    /// on a bound), keeping the buffers' capacity.
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.checkpoints.clear();
+        self.clear_logs();
     }
 }
 
@@ -195,25 +197,13 @@ pub struct Core {
     defense: Box<dyn Defense>,
     clock: Cycle,
     next_epoch: u64,
-    next_seq: u64,
     mode: ExecMode,
     tracing: bool,
     telemetry: Telemetry,
-    /// Recycled speculation frames (see [`Frame`]); popped on branch
-    /// dispatch, pushed back on resolve/squash. The boxing is the
-    /// point (not `clippy::vec_box` noise): moving a frame between the
-    /// pool and the open-frame stack must move a pointer, not ~600
-    /// bytes of checkpoint arrays.
-    #[allow(clippy::vec_box)]
-    frame_pool: Vec<Box<Frame>>,
-    /// Open-frame stack storage, reused across runs.
-    #[allow(clippy::vec_box)]
-    frames_storage: Vec<Box<Frame>>,
+    /// Speculation-frame storage, reused across runs.
+    spec_storage: SpecStorage,
     /// ROB release-cycle queue storage, reused across runs.
     rob_storage: RobRing,
-    /// Scratch effect list handed to the defense on squash/commit;
-    /// reused so steady-state squashes allocate nothing.
-    effects_scratch: Vec<Effect>,
     /// Optional runtime invariant sanitizer (`None` costs one pointer
     /// check at squash boundaries and nothing in the dispatch loop).
     sanitizer: Option<Box<Sanitizer>>,
@@ -241,30 +231,14 @@ impl Core {
             defense: Box::new(UnsafeBaseline),
             clock: 0,
             next_epoch: 1,
-            next_seq: 1,
             mode: ExecMode::Detailed,
             tracing: false,
             telemetry: Telemetry::disabled(),
-            frame_pool: Vec::new(),
-            frames_storage: Vec::new(),
+            spec_storage: SpecStorage::default(),
             rob_storage: RobRing::default(),
-            effects_scratch: Vec::new(),
             sanitizer: None,
             ff_plan: Vec::new(),
         }
-    }
-
-    /// Returns `frame` to the pool, dropping its per-branch contents but
-    /// keeping the effect buffers' capacity.
-    fn recycle_frame(&mut self, frame: Box<Frame>) {
-        self.frame_pool.push(frame);
-    }
-
-    /// A frame from the pool (or a fresh one while the pool warms up).
-    fn take_frame(&mut self) -> Box<Frame> {
-        self.frame_pool
-            .pop()
-            .unwrap_or_else(|| Box::new(Frame::blank()))
     }
 
     /// Table-I machine with the default configuration everywhere.
@@ -488,7 +462,7 @@ impl Core {
             last_complete: start_cycle,
             last_mem: start_cycle,
             fence_floor: start_cycle,
-            frames: std::mem::take(&mut self.frames_storage),
+            spec: std::mem::take(&mut self.spec_storage),
             rob: self.rob_storage.take_reserved(self.cfg.rob_entries),
             load_issue_cycle: 0,
             loads_in_cycle: 0,
@@ -499,7 +473,6 @@ impl Core {
             trace_seq: 0,
             tel_seq: 0,
             earliest_resolve: None,
-            mispredict_frames: 0,
             earliest_mispredict: None,
         };
 
@@ -538,7 +511,7 @@ impl Core {
             // makes no progress and falls through to the detailed core
             // for the trigger instruction.
             if ff
-                && st.frames.is_empty()
+                && st.spec.frames.is_empty()
                 && self.hier.memory_quiescent(st.cur_cycle)
                 && self.fast_forward(&mut st, program, start_cycle, milestone, max_committed)
             {
@@ -574,7 +547,7 @@ impl Core {
                 }
                 // Drain remaining (correct) frames and finish.
                 while let Some(idx) = st.earliest_frame() {
-                    let r = st.frames[idx].resolve_cycle;
+                    let r = st.spec.frames[idx].resolve_cycle;
                     st.stall_to(r);
                     self.resolve_frame(&mut st, idx);
                 }
@@ -626,12 +599,10 @@ impl Core {
         st.stats.cycles = end - start_cycle;
         self.clock = end + 1;
         // Hand the run's scratch structures back for the next run:
-        // frames still open at a limit-bounded exit go to the pool, and
-        // the (now empty) stack and ROB queue keep their capacity.
-        while let Some(frame) = st.frames.pop() {
-            self.frame_pool.push(frame);
-        }
-        self.frames_storage = st.frames;
+        // frames still open at a limit-bounded exit are dropped, and the
+        // speculation store and ROB queue keep their capacity.
+        st.spec.clear();
+        self.spec_storage = st.spec;
         st.rob.clear();
         self.rob_storage = st.rob;
         RunResult {
@@ -677,7 +648,7 @@ impl Core {
     /// hand-off back into the detailed core is seamless. What is skipped
     /// is machinery committed straight-line code cannot need: ROB
     /// modeling, MSHR entries, per-instruction telemetry and trace,
-    /// effect fan-out (there is no open frame to undo into), and
+    /// effect logging (there is no open frame to undo into), and
     /// wrong-path logic. The sanitizer's structural audit brackets every
     /// region so a hand-off that corrupts cache structure trips
     /// immediately.
@@ -823,12 +794,6 @@ impl Core {
                             st.avail[u.dsti()] = done;
                             last_mem = last_mem.max(done);
                             st.stats.committed_loads += 1;
-                            // Keep the load sequence numbering aligned
-                            // with the detailed core: frames armed after
-                            // this region derive their effect-retention
-                            // cutoffs from these counters.
-                            self.next_seq += 1;
-                            st.loads_issued += 1;
                             done
                         }
                         FfKind::Store => {
@@ -1000,6 +965,7 @@ impl Core {
                                 // branch resolves, then pays the miss.
                                 deferred_line = Some(addr.line());
                                 let resolve_all = st
+                                    .spec
                                     .frames
                                     .iter()
                                     .map(|f| f.resolve_cycle)
@@ -1016,7 +982,7 @@ impl Core {
                                         issue_cycle: start,
                                         complete_cycle: resolve_all + lat,
                                         level: unxpec_cache::HitLevel::Memory,
-                                        effects: vec![],
+                                        effects: Effects::new(),
                                     }
                                 } else {
                                     let mut o =
@@ -1040,19 +1006,8 @@ impl Core {
                     if !wrong_path {
                         st.stats.committed_loads += 1;
                     }
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
                     st.loads_issued += 1;
-                    if !outcome.effects.is_empty() || deferred_line.is_some() {
-                        for f in &mut st.frames {
-                            for e in &outcome.effects {
-                                f.effects.push((seq, *e));
-                            }
-                            if let Some(line) = deferred_line {
-                                f.spec_lines.push((seq, line));
-                            }
-                        }
-                    }
+                    st.spec.log(&outcome.effects, deferred_line);
                 }
                 st.pc += 1;
             }
@@ -1125,18 +1080,7 @@ impl Core {
                 let followed_pc = if predicted { target } else { st.pc + 1 };
                 let epoch = SpecTag(self.next_epoch);
                 self.next_epoch += 1;
-                let mut frame = self.take_frame();
-                frame.arm(
-                    st,
-                    epoch,
-                    st.pc,
-                    d,
-                    resolve,
-                    predicted != actual,
-                    correct_pc,
-                    self.next_seq,
-                );
-                st.push_frame(frame);
+                st.open_frame(epoch, d, resolve, predicted != actual, correct_pc);
                 complete = resolve;
                 st.pc = followed_pc;
             }
@@ -1156,18 +1100,7 @@ impl Core {
                 }
                 let epoch = SpecTag(self.next_epoch);
                 self.next_epoch += 1;
-                let mut frame = self.take_frame();
-                frame.arm(
-                    st,
-                    epoch,
-                    st.pc,
-                    d,
-                    resolve,
-                    predicted != actual,
-                    actual,
-                    self.next_seq,
-                );
-                st.push_frame(frame);
+                st.open_frame(epoch, d, resolve, predicted != actual, actual);
                 complete = resolve;
                 st.pc = predicted;
             }
@@ -1229,30 +1162,11 @@ impl Core {
                             st.stats.mispredicts += 1;
                         }
                     }
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
                     st.loads_issued += 1;
-                    if !outcome.effects.is_empty() {
-                        for f in &mut st.frames {
-                            for e in &outcome.effects {
-                                f.effects.push((seq, *e));
-                            }
-                        }
-                    }
+                    st.spec.log(&outcome.effects, None);
                     let epoch = SpecTag(self.next_epoch);
                     self.next_epoch += 1;
-                    let mut frame = self.take_frame();
-                    frame.arm(
-                        st,
-                        epoch,
-                        st.pc,
-                        d,
-                        resolve,
-                        predicted != actual,
-                        actual,
-                        self.next_seq,
-                    );
-                    st.push_frame(frame);
+                    st.open_frame(epoch, d, resolve, predicted != actual, actual);
                     complete = resolve;
                     st.pc = predicted;
                 }
@@ -1289,51 +1203,39 @@ impl Core {
     /// Resolves the frame at `idx` (its branch's resolve cycle has been
     /// reached).
     fn resolve_frame(&mut self, st: &mut Exec, idx: usize) {
-        if !st.frames[idx].mispredicted {
-            let frame = st.frames.remove(idx);
+        let Some(&frame) = st.spec.frames.get(idx) else {
+            // `idx` always comes from `earliest_frame`; bail out rather
+            // than panic if it ever is stale.
+            return;
+        };
+        let Some(ckpt_idx) = frame.checkpoint else {
+            st.spec.frames.remove(idx);
             st.refresh_frame_cache();
             st.stall_to(frame.resolve_cycle);
-            if st.frames.is_empty() {
-                if !frame.effects.is_empty() {
-                    self.effects_scratch.clear();
-                    self.effects_scratch
-                        .extend(frame.effects.iter().map(|(_, e)| *e));
-                    self.defense
-                        .on_commit_epoch(&mut self.hier, &self.effects_scratch);
+            if st.spec.frames.is_empty() {
+                let effects = &st.spec.effect_log[frame.effects_start..];
+                if !effects.is_empty() {
+                    self.defense.on_commit_epoch(&mut self.hier, effects);
                 }
                 // Invisible-policy loads expose their data now: the
                 // buffered fills become architectural.
-                for (_, line) in &frame.spec_lines {
-                    self.hier.access_data(*line, frame.resolve_cycle, None);
+                for &line in &st.spec.line_log[frame.lines_start..] {
+                    self.hier.access_data(line, frame.resolve_cycle, None);
                 }
+                st.spec.clear_logs();
             }
-            self.recycle_frame(frame);
-            return;
-        }
-
-        // Mis-speculation: squash this frame and everything younger
-        // (draining in place — no tail Vec is split off).
-        let mut drained = st.frames.drain(idx..);
-        let Some(frame) = drained.next() else {
-            // `idx` always comes from `earliest_frame`, so the drain is
-            // never empty; bail out rather than panic if it ever is.
             return;
         };
-        for younger in drained {
-            self.frame_pool.push(younger);
-        }
+
+        // Mis-speculation: squash this frame and everything younger.
+        st.spec.frames.truncate(idx);
         st.refresh_frame_cache();
         let resolve = frame.resolve_cycle;
-        self.effects_scratch.clear();
-        self.effects_scratch
-            .extend(frame.effects.iter().map(|(_, e)| *e));
-        let open_seq = frame.open_seq;
         let squashed_loads = (st.loads_issued - frame.loads_at_open) as usize;
         let squashed_insts = (st.dispatched() - frame.insts_at_open) as usize;
-
-        let l1_installs = self.effects_scratch.iter().filter(|e| e.is_l1()).count();
-        let l1_evictions = self
-            .effects_scratch
+        let transient = &st.spec.effect_log[frame.effects_start..];
+        let l1_installs = transient.iter().filter(|e| e.is_l1()).count();
+        let l1_evictions = transient
             .iter()
             .filter(|e| e.is_l1() && e.victim().is_some())
             .count();
@@ -1341,7 +1243,7 @@ impl Core {
             resolve_cycle: resolve,
             branch_pc: frame.branch_pc,
             epoch: frame.epoch,
-            transient_effects: &self.effects_scratch,
+            transient_effects: transient,
             squashed_loads,
             squashed_insts,
         };
@@ -1359,24 +1261,32 @@ impl Core {
             epoch: frame.epoch.0,
         });
         if self.sanitizer.is_some() {
-            self.rollback_oracle(frame.epoch, redirect);
+            self.rollback_oracle(frame.epoch, redirect, transient);
             self.structural_checks(st);
         }
 
+        // Squashed loads' records leave the logs, so enclosing frames no
+        // longer own them: the defense already rolled them back. With no
+        // frame left, so do the records of frames that resolved correct
+        // while this one was open (the logs are empty whenever no frame
+        // is open).
+        if st.spec.frames.is_empty() {
+            st.spec.clear_logs();
+        } else {
+            st.spec.effect_log.truncate(frame.effects_start);
+            st.spec.line_log.truncate(frame.lines_start);
+        }
+
         // Roll the architectural path back to the checkpoint.
-        st.regs = frame.ckpt_regs;
-        st.avail = frame.ckpt_avail;
-        st.last_complete = frame.ckpt_last_complete.max(redirect);
-        st.last_mem = frame.ckpt_last_mem.max(redirect);
+        if let Some(ckpt) = st.spec.checkpoints.get(ckpt_idx).copied() {
+            st.regs = ckpt.regs;
+            st.avail = ckpt.avail;
+            st.last_complete = ckpt.last_complete.max(redirect);
+            st.last_mem = ckpt.last_mem.max(redirect);
+        }
+        st.spec.checkpoints.truncate(ckpt_idx);
         st.pc = frame.correct_pc;
         st.stall_to(redirect + self.cfg.squash_penalty);
-
-        // Squashed loads' effects vanish from enclosing frames too: the
-        // defense already rolled them back.
-        for f in &mut st.frames {
-            f.effects.retain(|(seq, _)| *seq < open_seq);
-            f.spec_lines.retain(|(seq, _)| *seq < open_seq);
-        }
 
         st.stats.cleanup_stall_cycles += redirect - resolve;
         st.stats.squashes.push(SquashRecord {
@@ -1455,9 +1365,8 @@ impl Core {
     ///   were prior-resident victims getting restored, and every
     ///   non-speculative victim is back.
     ///
-    /// `self.effects_scratch` still holds the squashed effect list the
-    /// defense saw.
-    fn rollback_oracle(&mut self, epoch: SpecTag, cycle: Cycle) {
+    /// `transient` is the squashed effect list the defense saw.
+    fn rollback_oracle(&mut self, epoch: SpecTag, cycle: Cycle, transient: &[Effect]) {
         let Some(san) = self.sanitizer.as_deref_mut() else {
             return;
         };
@@ -1470,7 +1379,7 @@ impl Core {
             .map_or(0, |f| f.count(unxpec_cache::FaultKind::SpuriousEvict))
             > 0;
         let mut found = None;
-        for effect in &self.effects_scratch {
+        for effect in transient {
             let line = effect.installed_line();
             let tag = if effect.is_l1() {
                 self.hier.l1d().spec_tag(line)
@@ -1486,7 +1395,7 @@ impl Core {
             }
         }
         if found.is_none() && !spurious_evicts {
-            for effect in &self.effects_scratch {
+            for effect in transient {
                 if !effect.is_l1() {
                     continue;
                 }
@@ -1495,7 +1404,7 @@ impl Core {
                 // fill evicted (non-speculatively resident before the
                 // window) legitimately ends up resident again: the
                 // rollback restores it as that fill's victim.
-                let reinstated = self.effects_scratch.iter().any(|e| {
+                let reinstated = transient.iter().any(|e| {
                     e.is_l1()
                         && e.victim()
                             .is_some_and(|v| !v.was_speculative && v.line == line)
@@ -1773,10 +1682,8 @@ struct Exec {
     last_complete: Cycle,
     last_mem: Cycle,
     fence_floor: Cycle,
-    /// Open speculation frames, oldest first (boxed so push/drain move
-    /// pointers, not checkpoint arrays — see [`Core::frame_pool`]).
-    #[allow(clippy::vec_box)]
-    frames: Vec<Box<Frame>>,
+    /// Open frames, their checkpoints and their logged records.
+    spec: SpecStorage,
     rob: RobRing,
     load_issue_cycle: Cycle,
     loads_in_cycle: u64,
@@ -1790,12 +1697,11 @@ struct Exec {
     tel_seq: u64,
     /// Cached frame-stack summary, refreshed only when the stack
     /// changes (per branch, not per instruction): the min resolve cycle
-    /// and its index, the mispredicted-frame count, and the earliest
-    /// mispredicted resolve. `resolve_cycle` and `mispredicted` are
-    /// immutable after a frame is pushed, so the cache cannot go stale
-    /// between stack mutations.
+    /// and its index, and the earliest mispredicted resolve. A frame's
+    /// `resolve_cycle` and `checkpoint` are immutable after it is
+    /// pushed, so the cache cannot go stale between stack mutations.
+    /// (The mispredicted-frame count is the checkpoint stack's length.)
     earliest_resolve: Option<(Cycle, usize)>,
-    mispredict_frames: usize,
     earliest_mispredict: Option<Cycle>,
 }
 
@@ -1848,7 +1754,7 @@ impl Exec {
     }
 
     fn youngest_epoch(&self) -> Option<SpecTag> {
-        self.frames.last().map(|f| f.epoch)
+        self.spec.frames.back().map(|f| f.epoch)
     }
 
     /// Instructions dispatched this run (committed + squashed) — the
@@ -1857,33 +1763,61 @@ impl Exec {
         self.stats.committed_insts + self.stats.squashed_insts
     }
 
-    /// Pushes `frame` as the youngest open frame and folds it into the
-    /// cached frame-stack summary in O(1). The new frame takes the last
-    /// index, so the strict `<` below keeps an older frame on a tie,
-    /// exactly as [`Self::refresh_frame_cache`]'s rescan would.
-    fn push_frame(&mut self, frame: Box<Frame>) {
-        let (resolve, mispredicted) = (frame.resolve_cycle, frame.mispredicted);
-        let idx = self.frames.len();
-        self.frames.push(frame);
-        if self.earliest_resolve.is_none_or(|(c, _)| resolve < c) {
-            self.earliest_resolve = Some((resolve, idx));
+    /// Opens a frame for the speculation source at `self.pc` as the
+    /// youngest, checkpointing the architectural state only if it is
+    /// `mispredicted`, and folds it into the cached frame-stack summary
+    /// in O(1). The new frame takes the last index, so the strict `<`
+    /// below keeps an older frame on a tie, exactly as
+    /// [`Self::refresh_frame_cache`]'s rescan would.
+    fn open_frame(
+        &mut self,
+        epoch: SpecTag,
+        dispatch_cycle: Cycle,
+        resolve_cycle: Cycle,
+        mispredicted: bool,
+        correct_pc: PcIndex,
+    ) {
+        let checkpoint = mispredicted.then(|| {
+            self.spec.checkpoints.push(Checkpoint {
+                regs: self.regs,
+                avail: self.avail,
+                last_complete: self.last_complete,
+                last_mem: self.last_mem,
+            });
+            self.spec.checkpoints.len() - 1
+        });
+        let idx = self.spec.frames.len();
+        self.spec.frames.push_back(Frame {
+            epoch,
+            branch_pc: self.pc,
+            dispatch_cycle,
+            resolve_cycle,
+            correct_pc,
+            checkpoint,
+            effects_start: self.spec.effect_log.len(),
+            lines_start: self.spec.line_log.len(),
+            loads_at_open: self.loads_issued,
+            insts_at_open: self.dispatched(),
+        });
+        if self.earliest_resolve.is_none_or(|(c, _)| resolve_cycle < c) {
+            self.earliest_resolve = Some((resolve_cycle, idx));
         }
         if mispredicted {
-            self.mispredict_frames += 1;
-            self.earliest_mispredict =
-                Some(self.earliest_mispredict.map_or(resolve, |c| c.min(resolve)));
+            self.earliest_mispredict = Some(
+                self.earliest_mispredict
+                    .map_or(resolve_cycle, |c| c.min(resolve_cycle)),
+            );
         }
     }
 
     /// Rebuilds the cached frame-stack summary. Called after every
-    /// remove/drain of `frames` (pushes go through the O(1)
-    /// [`Self::push_frame`]); the per-instruction queries below then
+    /// remove/truncate of the frames (pushes go through the O(1)
+    /// [`Self::open_frame`]); the per-instruction queries below then
     /// read the cache in O(1) instead of rescanning the stack.
     fn refresh_frame_cache(&mut self) {
         self.earliest_resolve = None;
-        self.mispredict_frames = 0;
         self.earliest_mispredict = None;
-        for (i, f) in self.frames.iter().enumerate() {
+        for (i, f) in self.spec.frames.iter().enumerate() {
             // Strict `<` keeps the first index on ties, matching the
             // old `min_by_key` scan.
             if self
@@ -1892,8 +1826,7 @@ impl Exec {
             {
                 self.earliest_resolve = Some((f.resolve_cycle, i));
             }
-            if f.mispredicted {
-                self.mispredict_frames += 1;
+            if f.checkpoint.is_some() {
                 self.earliest_mispredict = Some(
                     self.earliest_mispredict
                         .map_or(f.resolve_cycle, |c| c.min(f.resolve_cycle)),
@@ -1903,7 +1836,7 @@ impl Exec {
     }
 
     fn has_mispredicted_frame(&self) -> bool {
-        self.mispredict_frames > 0
+        !self.spec.checkpoints.is_empty()
     }
 
     fn earliest_mispredict_resolve(&self) -> Option<Cycle> {

@@ -13,11 +13,11 @@ use unxpec_mem::LineAddr;
 
 /// Everything the core knows about one squash event.
 ///
-/// The effect list is borrowed from the core's reusable squash scratch
-/// buffer rather than owned: squashes are the steady-state hot path of
-/// every figure-reproduction run, and handing each defense an owned
-/// `Vec` forced an allocation per squash for data the defense only
-/// reads during `on_squash`.
+/// The effect list is borrowed from the core's run-wide effect log (the
+/// squashed frame's tail of it) rather than owned: squashes are the
+/// steady-state hot path of every figure-reproduction run, and handing
+/// each defense an owned `Vec` forced an allocation per squash for data
+/// the defense only reads during `on_squash`.
 #[derive(Debug, Clone)]
 pub struct SquashInfo<'a> {
     /// Cycle the mispredicted branch resolved (T2).
