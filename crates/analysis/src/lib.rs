@@ -5,7 +5,7 @@
 //! the channel? The pipeline has four passes (see
 //! `docs/static_analysis.md` for the worked derivation):
 //!
-//! 1. [`cfg`] — a control-flow graph whose edges are everything the
+//! 1. [`cfg`](mod@cfg) — a control-flow graph whose edges are everything the
 //!    *front end* can fetch, including predictor-steered wrong paths
 //!    (both branch arms, any BTB target, every RSB return site);
 //! 2. [`window`] — per speculation source, the set of PCs reachable

@@ -29,7 +29,7 @@
 //!   trigger-agnostic;
 //! * the baseline the defenses are validated against: classic
 //!   Spectre v1 ([`SpectreV1`]);
-//! * the [`registry`] of named attack programs and the benign corpus
+//! * the [`registry()`] of named attack programs and the benign corpus
 //!   ([`benign_registry`]) that the static analyzer is checked against.
 //!
 //! # Examples

@@ -11,7 +11,7 @@
 //! human-readable verdict table per program; `--json` emits one
 //! deterministic JSON document with programs sorted by name (the exact
 //! byte format `analysis_golden.json` pins in CI). `--witnesses`
-//! additionally extracts one concrete [`LeakWitness`] per leak verdict
+//! additionally extracts one concrete [`LeakWitness`](unxpec::analysis::LeakWitness) per leak verdict
 //! — the counterexample the `witness-replay` binary checks dynamically.
 //!
 //! Exit status: 0 on success (a leak verdict is the *expected* result

@@ -21,8 +21,8 @@
 //! parallelism; `--jobs 1` preserves the serial behavior exactly);
 //! each experiment's output block still prints whole and in command
 //! order because per-experiment seeds derive from the root `--seed`
-//! and the experiment's *name*, never from execution order. `--csv
-//! <dir>` writes raw data as CSV; `--svg <dir>` writes rendered
+//! and the experiment's *name*, never from execution order.
+//! `--csv <dir>` writes raw data as CSV; `--svg <dir>` writes rendered
 //! figures. `--trace-out <file>` writes the `trace` experiment's
 //! Chrome/Perfetto trace-event JSON (open in `chrome://tracing` or
 //! <https://ui.perfetto.dev>) and `--metrics-out <file>` its metrics

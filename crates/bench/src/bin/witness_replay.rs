@@ -6,7 +6,7 @@
 //!
 //! For every selected program (default: the full attack registry plus
 //! the benign expected-clean registry) this binary re-runs the static
-//! analysis, extracts one [`LeakWitness`] per leak verdict, and drives
+//! analysis, extracts one [`LeakWitness`](unxpec::analysis::LeakWitness) per leak verdict, and drives
 //! each witness through the cycle simulator under the defense it names,
 //! asserting that the *predicted* observable materializes: a
 //! secret-dependent cache-footprint difference under `unsafe`, a

@@ -737,7 +737,7 @@ impl CacheHierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`CacheError::RemapUnsupported`] when the hierarchy was
+    /// Returns [`CacheError::RemapUnsupported`](crate::CacheError::RemapUnsupported) when the hierarchy was
     /// built without CEASER indexing (`ceaser_enabled: false`) — the L2
     /// then has no key to rotate, and the caller (an experiment driver
     /// or sweep trial) must treat the request as a configuration error

@@ -333,7 +333,9 @@ impl Core {
 
     /// Attaches a telemetry handle: the core emits pipeline and squash
     /// events through it, and the cache hierarchy shares the same sink.
-    /// The default handle is disabled and costs one branch per probe.
+    /// The default handle is disabled and costs one branch per probe; a
+    /// run with no observer at all skips the core's per-instruction
+    /// probes entirely.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) -> &mut Self {
         self.hier.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -470,32 +472,90 @@ impl Core {
             stats: RunStats::default(),
             hit_limit: false,
             trace: if self.tracing { Some(Vec::new()) } else { None },
-            trace_seq: 0,
             tel_seq: 0,
             earliest_resolve: None,
             earliest_mispredict: None,
         };
 
+        // One instance of the dispatch loop per run: any observer selects
+        // the instance that emits per-instruction events, pushes the trace
+        // and polls the sanitizer; a run with none pays for none of them.
+        if self.tracing || self.telemetry.is_enabled() || self.sanitizer.is_some() {
+            self.run_loop::<true>(&mut st, program, ff, start_cycle, milestone, max_committed);
+        } else {
+            self.run_loop::<false>(&mut st, program, ff, start_cycle, milestone, max_committed);
+        }
+
+        // Run-end structural audit (no-op when the sanitizer is off or
+        // already tripped).
+        self.structural_checks(&st);
+
+        let end = st.cur_cycle.max(st.last_complete);
+        st.stats.cycles = end - start_cycle;
+        self.clock = end + 1;
+        // Hand the run's scratch structures back for the next run:
+        // frames still open at a limit-bounded exit are dropped, and the
+        // speculation store and ROB queue keep their capacity.
+        st.spec.clear();
+        self.spec_storage = st.spec;
+        st.rob.clear();
+        self.rob_storage = st.rob;
+        RunResult {
+            stats: st.stats,
+            regs: st.regs,
+            hit_limit: st.hit_limit,
+            trace: st.trace.map(|events| ExecTrace { events }),
+        }
+    }
+
+    /// The dispatch loop of [`Core::run_with_milestone`], compiled once
+    /// per `OBSERVED`. The observed instance (`true`) runs whenever the
+    /// core is tracing, has an enabled telemetry handle or has a
+    /// sanitizer; the unobserved instance drops the per-instruction
+    /// `Dispatch`/`Issue`/`Complete` emits, the trace push and the
+    /// sanitizer poll, all of which are no-ops in such a run. Both
+    /// instances are this one source, so they cannot disagree on a
+    /// simulated value.
+    fn run_loop<const OBSERVED: bool>(
+        &mut self,
+        st: &mut Exec,
+        program: &Program,
+        ff: bool,
+        start_cycle: Cycle,
+        milestone: Option<u64>,
+        max_committed: u64,
+    ) {
+        // Hoisted loop invariants, as in `fast_forward`. The saturating
+        // cycle limit is exact: `cur_cycle >= start_cycle`, so
+        // `cur_cycle > cycle_limit` is `cur_cycle - start_cycle >
+        // max_cycles`. The milestone stays pending until the first head
+        // that reaches it; committed counts are monotone.
+        let inst_limit = max_committed.min(self.cfg.max_insts);
+        let cycle_limit = start_cycle.saturating_add(self.cfg.max_cycles);
+        let rob_entries = self.cfg.rob_entries;
+        let dispatch_width = self.cfg.dispatch_width;
+        let mut milestone_pending = milestone;
         loop {
             // Safety bounds.
-            if st.cur_cycle - start_cycle > self.cfg.max_cycles
-                || st.stats.committed_insts >= max_committed.min(self.cfg.max_insts)
-            {
+            if st.cur_cycle > cycle_limit || st.stats.committed_insts >= inst_limit {
                 st.hit_limit = true;
                 break;
             }
             // A tripped invariant ends the run at the next loop head:
             // the machine state is already suspect, so continuing would
             // only bury the root cause.
-            if self.sanitizer.as_deref().is_some_and(Sanitizer::tripped) {
+            if OBSERVED && self.sanitizer.as_deref().is_some_and(Sanitizer::tripped) {
                 st.hit_limit = true;
                 break;
             }
-            if st.stats.milestone_cycle.is_none() {
-                if let Some(m) = milestone {
-                    if st.stats.committed_insts >= m {
-                        st.stats.milestone_cycle = Some(st.cur_cycle - start_cycle);
-                    }
+            if let Some(m) = milestone_pending {
+                if st.stats.committed_insts >= m {
+                    // Fast-forward may have recorded it already; that
+                    // record stands.
+                    st.stats
+                        .milestone_cycle
+                        .get_or_insert(st.cur_cycle - start_cycle);
+                    milestone_pending = None;
                 }
             }
 
@@ -513,7 +573,7 @@ impl Core {
             if ff
                 && st.spec.frames.is_empty()
                 && self.hier.memory_quiescent(st.cur_cycle)
-                && self.fast_forward(&mut st, program, start_cycle, milestone, max_committed)
+                && self.fast_forward(st, program, start_cycle, milestone, max_committed)
             {
                 continue;
             }
@@ -521,7 +581,7 @@ impl Core {
             // Resolve frames whose branches have resolved by now.
             let peek = st.peek_dispatch_cycle();
             if let Some(idx) = st.earliest_resolvable(peek) {
-                self.resolve_frame(&mut st, idx);
+                self.resolve_frame(st, idx);
                 continue;
             }
 
@@ -549,13 +609,13 @@ impl Core {
                 while let Some(idx) = st.earliest_frame() {
                     let r = st.spec.frames[idx].resolve_cycle;
                     st.stall_to(r);
-                    self.resolve_frame(&mut st, idx);
+                    self.resolve_frame(st, idx);
                 }
                 break;
             }
 
             // ROB occupancy.
-            if st.rob.len() >= self.cfg.rob_entries {
+            if st.rob.len() >= rob_entries {
                 if let Some(release) = st.rob.pop_front() {
                     if release > st.peek_dispatch_cycle() {
                         // Retirement watchdog: a release absurdly far in
@@ -587,29 +647,8 @@ impl Core {
                 }
             }
 
-            let d = st.take_dispatch_slot(self.cfg.dispatch_width);
-            self.execute(&mut st, inst, d);
-        }
-
-        // Run-end structural audit (no-op when the sanitizer is off or
-        // already tripped).
-        self.structural_checks(&st);
-
-        let end = st.cur_cycle.max(st.last_complete);
-        st.stats.cycles = end - start_cycle;
-        self.clock = end + 1;
-        // Hand the run's scratch structures back for the next run:
-        // frames still open at a limit-bounded exit are dropped, and the
-        // speculation store and ROB queue keep their capacity.
-        st.spec.clear();
-        self.spec_storage = st.spec;
-        st.rob.clear();
-        self.rob_storage = st.rob;
-        RunResult {
-            stats: st.stats,
-            regs: st.regs,
-            hit_limit: st.hit_limit,
-            trace: st.trace.map(|events| ExecTrace { events }),
+            let d = st.take_dispatch_slot(dispatch_width);
+            self.execute::<OBSERVED>(st, inst, d);
         }
     }
 
@@ -880,7 +919,10 @@ impl Core {
         executed > 0
     }
 
-    fn execute(&mut self, st: &mut Exec, inst: Inst, d: Cycle) {
+    /// Dispatches `inst` at cycle `d`. `OBSERVED` is the
+    /// [`Core::run_loop`] instance's: only the observed one emits the
+    /// pipeline events and pushes the trace.
+    fn execute<const OBSERVED: bool>(&mut self, st: &mut Exec, inst: Inst, d: Cycle) {
         let pc = st.pc;
         let wrong_path = st.has_mispredicted_frame();
         if wrong_path {
@@ -889,11 +931,13 @@ impl Core {
             st.stats.committed_insts += 1;
         }
         let squash_at = st.earliest_mispredict_resolve();
-        self.telemetry.emit(Event::Dispatch {
-            cycle: d,
-            seq: st.tel_seq,
-            pc,
-        });
+        if OBSERVED {
+            self.telemetry.emit(Event::Dispatch {
+                cycle: d,
+                seq: st.tel_seq,
+                pc,
+            });
+        }
 
         let mut complete = d; // instruction completion for ROB release
         match inst {
@@ -993,11 +1037,13 @@ impl Core {
                             }
                         }
                     };
-                    self.telemetry.emit(Event::Issue {
-                        cycle: start,
-                        seq: st.tel_seq,
-                        pc,
-                    });
+                    if OBSERVED {
+                        self.telemetry.emit(Event::Issue {
+                            cycle: start,
+                            seq: st.tel_seq,
+                            pc,
+                        });
+                    }
                     let value = self.mem.read_u64(addr);
                     st.regs[dst.index()] = value;
                     st.avail[dst.index()] = outcome.complete_cycle;
@@ -1142,11 +1188,13 @@ impl Core {
                     st.pc += 1;
                 } else {
                     let tag = st.youngest_epoch();
-                    self.telemetry.emit(Event::Issue {
-                        cycle: start,
-                        seq: st.tel_seq,
-                        pc,
-                    });
+                    if OBSERVED {
+                        self.telemetry.emit(Event::Issue {
+                            cycle: start,
+                            seq: st.tel_seq,
+                            pc,
+                        });
+                    }
                     let outcome = self.hier.access_data(addr.line(), start, tag);
                     let actual = self.mem.read_u64(addr) as PcIndex;
                     let resolve = outcome.complete_cycle + self.cfg.branch_resolve_latency;
@@ -1180,23 +1228,24 @@ impl Core {
         // ROB release: in-order commit discipline.
         let release = st.rob.back().unwrap_or(0).max(complete);
         st.rob.push_back(release);
-        self.telemetry.emit(Event::Complete {
-            cycle: complete,
-            seq: st.tel_seq,
-            pc,
-            wrong_path,
-        });
-        st.tel_seq += 1;
-        if let Some(trace) = st.trace.as_mut() {
-            trace.push(TraceEvent {
-                seq: st.trace_seq,
+        if OBSERVED {
+            self.telemetry.emit(Event::Complete {
+                cycle: complete,
+                seq: st.tel_seq,
                 pc,
-                inst,
-                dispatch_cycle: d,
-                complete_cycle: complete,
                 wrong_path,
             });
-            st.trace_seq += 1;
+            if let Some(trace) = st.trace.as_mut() {
+                trace.push(TraceEvent {
+                    seq: st.tel_seq,
+                    pc,
+                    inst,
+                    dispatch_cycle: d,
+                    complete_cycle: complete,
+                    wrong_path,
+                });
+            }
+            st.tel_seq += 1;
         }
     }
 
@@ -1210,7 +1259,7 @@ impl Core {
         };
         let Some(ckpt_idx) = frame.checkpoint else {
             st.spec.frames.remove(idx);
-            st.refresh_frame_cache();
+            st.refresh_earliest_resolve();
             st.stall_to(frame.resolve_cycle);
             if st.spec.frames.is_empty() {
                 let effects = &st.spec.effect_log[frame.effects_start..];
@@ -1693,7 +1742,8 @@ struct Exec {
     stats: RunStats,
     hit_limit: bool,
     trace: Option<Vec<TraceEvent>>,
-    trace_seq: u64,
+    /// Sequence number of the next dispatched instruction, shared by its
+    /// pipeline events and its trace event (observed runs only).
     tel_seq: u64,
     /// Cached frame-stack summary, refreshed only when the stack
     /// changes (per branch, not per instruction): the min resolve cycle
@@ -1810,29 +1860,35 @@ impl Exec {
         }
     }
 
-    /// Rebuilds the cached frame-stack summary. Called after every
-    /// remove/truncate of the frames (pushes go through the O(1)
-    /// [`Self::open_frame`]); the per-instruction queries below then
-    /// read the cache in O(1) instead of rescanning the stack.
+    /// Rebuilds the whole cached frame-stack summary, after a squash
+    /// truncates the frames (pushes go through the O(1)
+    /// [`Self::open_frame`], correct resolves through
+    /// [`Self::refresh_earliest_resolve`]); the per-instruction queries
+    /// below then read the cache in O(1) instead of rescanning the stack.
     fn refresh_frame_cache(&mut self) {
-        self.earliest_resolve = None;
-        self.earliest_mispredict = None;
-        for (i, f) in self.spec.frames.iter().enumerate() {
-            // Strict `<` keeps the first index on ties, matching the
-            // old `min_by_key` scan.
-            if self
-                .earliest_resolve
-                .is_none_or(|(c, _)| f.resolve_cycle < c)
-            {
-                self.earliest_resolve = Some((f.resolve_cycle, i));
-            }
-            if f.checkpoint.is_some() {
-                self.earliest_mispredict = Some(
-                    self.earliest_mispredict
-                        .map_or(f.resolve_cycle, |c| c.min(f.resolve_cycle)),
-                );
-            }
-        }
+        self.refresh_earliest_resolve();
+        self.earliest_mispredict = self
+            .spec
+            .frames
+            .iter()
+            .filter(|f| f.checkpoint.is_some())
+            .map(|f| f.resolve_cycle)
+            .min();
+    }
+
+    /// Re-derives `earliest_resolve`: the oldest of the frames with the
+    /// smallest resolve cycle (`min_by_key` keeps the first on ties).
+    /// On its own it is the whole update after a correctly predicted
+    /// frame leaves the stack: that frame held no checkpoint, so
+    /// `earliest_mispredict` cannot move.
+    fn refresh_earliest_resolve(&mut self) {
+        self.earliest_resolve = self
+            .spec
+            .frames
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, f)| f.resolve_cycle)
+            .map(|(i, f)| (f.resolve_cycle, i));
     }
 
     fn has_mispredicted_frame(&self) -> bool {
@@ -3007,6 +3063,158 @@ mod rob_ring_tests {
         assert_eq!(
             ring.order_violation(),
             Some(InvariantViolation::RobOrder { prev: 9, next: 7 })
+        );
+    }
+}
+
+/// The dispatch loop's hoisted bounds and summary updates, pinned to the
+/// values the per-iteration loop produced.
+#[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+mod bound_tests {
+    use super::*;
+    use crate::isa::Cond;
+    use crate::predictor::NeverTaken;
+    use crate::program::ProgramBuilder;
+
+    /// A loop that never halts, so every run of it ends on a bound.
+    fn spin() -> Program {
+        let mut b = ProgramBuilder::new();
+        b.mov(Reg(1), 0);
+        b.label("spin");
+        b.add(Reg(1), Reg(1), 1u64);
+        b.branch(Cond::Ne, Reg(1), 0u64, "spin");
+        b.halt();
+        b.build()
+    }
+
+    /// A core under `cfg` whose clock is far from zero: the bounds count
+    /// from each run's start cycle.
+    fn warm_core(cfg: CoreConfig) -> Core {
+        let mut core = Core::new(cfg, HierarchyConfig::table_i());
+        for _ in 0..20 {
+            core.run(&spin());
+        }
+        core
+    }
+
+    #[test]
+    fn max_cycles_stops_a_run_on_a_warm_core() {
+        let mut cfg = CoreConfig::table_i();
+        cfg.max_cycles = 1_000;
+        let mut core = warm_core(cfg);
+        let start = core.clock();
+        let r = core.run(&spin());
+        assert_eq!(
+            (start, r.hit_limit, r.stats.cycles, r.stats.committed_insts),
+            (20_061, true, 1_002, 1_337)
+        );
+        assert_eq!(r.reg(Reg(1)), 668);
+    }
+
+    #[test]
+    fn max_insts_stops_a_run_on_a_warm_core_with_no_cycle_bound() {
+        // `start + max_cycles` overflows on a warm clock; the bound must
+        // saturate instead of wrapping to a limit already passed.
+        let mut cfg = CoreConfig::table_i();
+        cfg.max_cycles = u64::MAX;
+        cfg.max_insts = 5_000;
+        let mut core = warm_core(cfg);
+        let start = core.clock();
+        let r = core.run_for(&spin(), 3_001);
+        assert_eq!(
+            (start, r.hit_limit, r.stats.cycles, r.stats.committed_insts),
+            (74_987, true, 2_250, 3_001)
+        );
+        let r = core.run(&spin());
+        assert_eq!(
+            (r.hit_limit, r.stats.cycles, r.stats.committed_insts),
+            (true, 3_748, 5_000)
+        );
+    }
+
+    #[test]
+    fn milestone_set_by_fast_forward_is_recorded_once() {
+        // The milestone falls inside the straight-line prefix, which
+        // fast-forward runs; the detailed core then takes the branch and
+        // must keep the recorded cycle.
+        let mut b = ProgramBuilder::new();
+        b.mov(Reg(1), 0x9000);
+        for i in 0..40i64 {
+            b.add(Reg(2), Reg(2), 3u64);
+            b.load(Reg(3), Reg(1), i * 64);
+        }
+        b.branch(Cond::Eq, Reg(3), 0u64, "done");
+        b.add(Reg(4), Reg(4), 1u64);
+        b.label("done");
+        for _ in 0..20 {
+            b.mul(Reg(5), Reg(2), 7u64);
+        }
+        b.halt();
+        let program = b.build();
+        let mut core = Core::table_i();
+        core.set_mode(ExecMode::FastForward);
+        let r = core.run_with_milestone(&program, Some(30), u64::MAX);
+        assert!(r.stats.ff_committed_insts >= 30);
+        assert_eq!(r.stats.milestone_cycle, Some(7));
+        let mut detailed = Core::table_i();
+        let rd = detailed.run_with_milestone(&program, Some(30), u64::MAX);
+        assert_eq!(rd.stats.milestone_cycle, r.stats.milestone_cycle);
+    }
+
+    #[test]
+    fn correct_resolve_under_an_open_mispredict_keeps_the_squash_cycle() {
+        // The outer branch waits on a cold load and is mispredicted. On
+        // its wrong path a younger branch resolves correct first: the
+        // frame it removes is not the oldest, and the outer frame's
+        // squash cycle must not move. Of the two wrong-path loads after
+        // it, the first issues before that cycle and the second at or
+        // past it, so only the first is squashed and the second is
+        // suppressed.
+        let mut core = Core::table_i();
+        core.set_predictor(Box::new(NeverTaken));
+        let mut b = ProgramBuilder::new();
+        b.mov(Reg(1), 0x4100);
+        b.load(Reg(2), Reg(1), 0);
+        b.branch(Cond::Eq, Reg(2), 0u64, "outer_t");
+        b.mov(Reg(3), 5);
+        b.branch(Cond::Eq, Reg(3), 0u64, "never");
+        b.branch(Cond::Eq, Reg(3), 1u64, "never");
+        for _ in 0..60 {
+            b.add(Reg(3), Reg(3), 1u64);
+        }
+        b.load(Reg(5), Reg(3), 0x5000);
+        for _ in 0..70 {
+            b.add(Reg(3), Reg(3), 1u64);
+        }
+        b.load(Reg(7), Reg(3), 0x6000);
+        b.label("never");
+        b.halt();
+        b.label("outer_t");
+        b.mov(Reg(6), 42);
+        b.halt();
+        let r = core.run(&b.build());
+        assert_eq!(r.reg(Reg(6)), 42);
+        assert_eq!((r.reg(Reg(5)), r.reg(Reg(7))), (0, 0));
+        assert_eq!(
+            r.stats.squashes,
+            vec![SquashRecord {
+                branch_pc: 2,
+                dispatch_cycle: 0,
+                resolve_cycle: 119,
+                redirect_cycle: 119,
+                squashed_loads: 1,
+                l1_installs: 1,
+                l1_evictions: 0,
+            }]
+        );
+        assert_eq!(
+            (
+                r.stats.cycles,
+                r.stats.squashed_insts,
+                r.stats.committed_insts
+            ),
+            (125, 135, 4)
         );
     }
 }

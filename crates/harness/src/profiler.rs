@@ -6,7 +6,7 @@
 //! worker is running right now (fed by the pool's
 //! [`TaskEvent`](crate::pool::TaskEvent) lifecycle callbacks) and
 //! accumulates the observations into a
-//! [`SpanNode`](unxpec_telemetry::SpanNode) tree
+//! [`SpanNode`] tree
 //! (`sweep;worker-<k>;<trial key or (idle)>`). Weights are **sample
 //! counts**, so a frame's share of the root approximates its share of
 //! the sweep's wall clock at the configured resolution — the standard

@@ -1,12 +1,12 @@
 //! The experiment registry: named [`Experiment`]s the sweep runner can
 //! enumerate, plus the builtin set adapting every driver in
-//! [`unxpec::experiments`] to the [`TrialCtx`] → [`TrialOutput`]
+//! [`unxpec::experiments`] to the [`TrialCtx`](crate::TrialCtx) → [`TrialOutput`]
 //! shape.
 //!
 //! Variants encode the channel/figure axis an experiment already has
 //! (`no-es`/`es` for the eviction-set pair, the four ablation
 //! sub-studies, `sim`/`host-like` resolution). Each adapter maps the
-//! trial's [`Scale`](unxpec::experiments::Scale) to the driver's
+//! trial's [`Scale`] to the driver's
 //! sample arguments the same way the `experiments` binary does, and
 //! extracts the headline quantities as named metrics so the sweep can
 //! aggregate them across the seed axis.

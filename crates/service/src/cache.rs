@@ -1,6 +1,7 @@
 //! The persistent content-addressed result cache.
 //!
-//! Every trial result is stored under its [`cell_digest`] — a stable,
+//! Every trial result is stored under its
+//! [`cell_digest`](unxpec_harness::digest::cell_digest) — a stable,
 //! versioned address covering exactly the inputs that determine the
 //! trial's output (see `unxpec_harness::digest`). A repeated cell, no
 //! matter which tenant submits it or when, is served from disk instead

@@ -821,7 +821,7 @@ impl Service {
     }
 
     /// The deterministic result document for a finished job — see
-    /// [`render_results`]. Errors if the job still has open trials.
+    /// `render_results`. Errors if the job still has open trials.
     pub fn results(&self, job: &str) -> Result<String, ServiceError> {
         let st = lock(&self.inner.state);
         let entry = Inner::find(&st, job)?;

@@ -6,8 +6,8 @@
 //! * [`Summary`] — mean/std/percentiles of a sample set;
 //! * [`Kde`] — Gaussian kernel density estimation (the paper estimates
 //!   its Fig. 7/8 probability density functions with KDE);
-//! * [`threshold`] — decision-threshold selection between two latency
-//!   distributions;
+//! * [`best_threshold`] and [`midpoint_threshold`] — decision-threshold
+//!   selection between two latency distributions;
 //! * [`Confusion`] — bit-decoding accuracy accounting (Figs. 10/11);
 //! * [`Histogram`] and [`ascii`] — text rendering so the bench harness
 //!   can print the same series the paper plots;
