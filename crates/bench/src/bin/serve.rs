@@ -9,13 +9,8 @@
 //!       [--chaos-listen ADDR] [--chaos-seed N] [--chaos-delay N]
 //!       [--chaos-split N] [--chaos-truncate N] [--chaos-garble N]
 //!       [--chaos-sever N] [--chaos-max-delay-ms N]
-//!       [--serve-metrics ADDR] [--once] [--fast-forward]
+//!       [--serve-metrics ADDR] [--once]
 //! ```
-//!
-//! `--fast-forward` forces every submitted spec onto the two-speed
-//! fast-forward core; the mode participates in each cell digest, so a
-//! fast-forward server never serves (or pollutes) detailed-mode cache
-//! entries.
 //!
 //! Clients speak the line-delimited JSON protocol on `--addr`
 //! (default `127.0.0.1:9733`; port 0 picks an ephemeral port, printed
@@ -57,7 +52,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unxpec::cpu::ExecMode;
 use unxpec::telemetry::{MetricsHub, MetricsServer};
 use unxpec_harness::{default_jobs, Registry};
 use unxpec_service::{CacheConfig, ChaosConfig, ChaosProxy, Service, ServiceConfig, TcpFront};
@@ -112,10 +106,6 @@ fn main() {
     while let Some(arg) = args.next() {
         if arg == "--once" {
             once = true;
-            continue;
-        }
-        if arg == "--fast-forward" {
-            config.mode_override = Some(ExecMode::FastForward);
             continue;
         }
         let value = args.next().unwrap_or_else(|| {

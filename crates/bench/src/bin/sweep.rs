@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sweep [--experiments a,b,..] [--variants x,y] [--scale quick|paper]
-//!       [--seeds N] [--root-seed S] [--spec <file>] [--fast-forward]
+//!       [--seeds N] [--root-seed S] [--spec <file>]
 //!       [--jobs N] [--retries N] [--manifest <file>]
 //!       [--deadline-ms N] [--backoff-ms N] [--quarantine-after N]
 //!       [--diagnostics-dir <dir>] [--serve-metrics ADDR]
@@ -12,19 +12,18 @@
 //! ```
 //!
 //! The identity flags (`--experiments`, `--variants`, `--scale`,
-//! `--seeds`, `--root-seed`, `--fast-forward`, or a `--spec` key=value
-//! file they override) define *what* runs; the remaining flags only
-//! change *how*. `--fast-forward` runs the simulated cores on the
-//! two-speed fast-forward path — it participates in every cell digest,
-//! so manifests and caches never mix modes. Per-trial seeds derive from the root seed and the trial's
+//! `--seeds`, `--root-seed`, or a `--spec` key=value file they
+//! override) define *what* runs; the remaining flags only change
+//! *how*. Per-trial seeds derive from the root seed and the trial's
 //! identity, so any `--jobs` value produces the same aggregates and
 //! the same aggregate digest. With `--manifest`, each finished trial
 //! appends one checksummed line to the manifest log; rerunning the
-//! same spec against the same manifest skips completed trials. `--deadline-ms` turns slow trials into
-//! typed timeouts, `--backoff-ms` paces panic retries,
-//! `--quarantine-after` benches keys that keep failing across resumes,
-//! and `--diagnostics-dir` writes one reproduction bundle per failing
-//! trial (see `docs/fault_injection.md`). `--trace-out` writes
+//! same spec against the same manifest skips completed trials.
+//! `--deadline-ms` turns slow trials into typed timeouts,
+//! `--backoff-ms` paces panic retries, `--quarantine-after` benches
+//! keys that keep failing across resumes, and `--diagnostics-dir`
+//! writes one reproduction bundle per failing trial (see
+//! `docs/fault_injection.md`). `--trace-out` writes
 //! per-trial wall-clock spans as Chrome/Perfetto trace JSON (one track
 //! per worker) and `--metrics-out` the pool counters (`.csv` extension
 //! selects CSV, anything else JSON). `--serve-metrics ADDR` (e.g.
@@ -67,10 +66,6 @@ fn main() {
                 println!("{name}: {}", variants.join(", "));
             }
             return;
-        }
-        if arg == "--fast-forward" {
-            spec.mode = unxpec::cpu::ExecMode::FastForward;
-            continue;
         }
         let value = args.next().unwrap_or_else(|| {
             eprintln!("{arg} needs an argument");

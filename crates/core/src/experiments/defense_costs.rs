@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use unxpec_cpu::{ExecMode, UnsafeBaseline};
+use unxpec_cpu::UnsafeBaseline;
 use unxpec_defense::{CleanupSpec, DelayOnMiss, InvisiSpec};
 use unxpec_stats::ascii;
-use unxpec_workloads::{
-    arith_mean_overhead, measure_overheads_with_mode, spec2017_like_suite, OverheadRow,
-};
+use unxpec_workloads::{arith_mean_overhead, measure_overheads, spec2017_like_suite, OverheadRow};
 
 /// The defense-cost comparison result.
 #[derive(Debug, Clone)]
@@ -70,11 +68,6 @@ impl DefenseCosts {
 
 /// Runs the suite under every defense class.
 pub fn run(warmup: u64, measure: u64) -> DefenseCosts {
-    run_with_mode(warmup, measure, ExecMode::Detailed)
-}
-
-/// [`run`] with an explicit execution mode for the simulated cores.
-pub fn run_with_mode(warmup: u64, measure: u64, mode: ExecMode) -> DefenseCosts {
     let suite = spec2017_like_suite();
     let unsafe_f: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(UnsafeBaseline);
     let cleanup: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(CleanupSpec::new());
@@ -88,7 +81,7 @@ pub fn run_with_mode(warmup: u64, measure: u64, mode: ExecMode) -> DefenseCosts 
         ("invisispec", invisi),
         ("dom-no-vp", dom_naive),
     ];
-    let rows = measure_overheads_with_mode(&suite, &schemes, warmup, measure, mode);
+    let rows = measure_overheads(&suite, &schemes, warmup, measure);
     DefenseCosts {
         schemes: schemes.iter().map(|(n, _)| n.to_string()).collect(),
         rows,

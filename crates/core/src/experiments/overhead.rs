@@ -3,12 +3,11 @@
 
 use std::fmt;
 
-use unxpec_cpu::{ExecMode, UnsafeBaseline};
+use unxpec_cpu::UnsafeBaseline;
 use unxpec_defense::{CleanupSpec, ConstantTimeRollback};
 use unxpec_stats::ascii;
 use unxpec_workloads::{
-    arith_mean_overhead, mean_overhead, measure_overheads_with_mode, spec2017_like_suite,
-    OverheadRow,
+    arith_mean_overhead, mean_overhead, measure_overheads, spec2017_like_suite, OverheadRow,
 };
 
 /// The constants the paper sweeps (cycles).
@@ -79,11 +78,6 @@ impl OverheadExperiment {
 /// Runs the full sweep: every workload under unsafe, plain CleanupSpec,
 /// and relaxed constant-time rollback at each constant.
 pub fn run(warmup: u64, measure: u64) -> OverheadExperiment {
-    run_with_mode(warmup, measure, ExecMode::Detailed)
-}
-
-/// [`run`] with an explicit execution mode for the simulated cores.
-pub fn run_with_mode(warmup: u64, measure: u64, mode: ExecMode) -> OverheadExperiment {
     let suite = spec2017_like_suite();
     let unsafe_f: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(UnsafeBaseline);
     let no_const: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(CleanupSpec::new());
@@ -106,7 +100,7 @@ pub fn run_with_mode(warmup: u64, measure: u64, mode: ExecMode) -> OverheadExper
         ("const=45", c45),
         ("const=65", c65),
     ];
-    let rows = measure_overheads_with_mode(&suite, &schemes, warmup, measure, mode);
+    let rows = measure_overheads(&suite, &schemes, warmup, measure);
     OverheadExperiment {
         schemes: schemes.iter().map(|(n, _)| n.to_string()).collect(),
         rows,

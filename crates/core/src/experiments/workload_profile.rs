@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use unxpec_cpu::{Core, ExecMode};
+use unxpec_cpu::Core;
 use unxpec_stats::ascii;
 use unxpec_workloads::spec2017_like_suite;
 
@@ -46,16 +46,10 @@ impl SuiteProfile {
 /// Profiles every kernel over `insts` committed instructions (after
 /// `warmup`).
 pub fn run(warmup: u64, insts: u64) -> SuiteProfile {
-    run_with_mode(warmup, insts, ExecMode::Detailed)
-}
-
-/// [`run`] with an explicit execution mode for the simulated cores.
-pub fn run_with_mode(warmup: u64, insts: u64, mode: ExecMode) -> SuiteProfile {
     let kernels = spec2017_like_suite()
         .iter()
         .map(|w| {
             let mut core = Core::table_i();
-            core.set_mode(mode);
             w.install(&mut core);
             core.run_for(w.program(), warmup);
             core.hierarchy_mut().reset_stats();

@@ -32,7 +32,9 @@ use crate::spec::SweepSpec;
 ///
 /// v2: added the execution-mode field (two-speed core) — every cell
 /// digest moved, so v1 cache entries miss instead of aliasing across
-/// the mode axis.
+/// the mode axis. Every trial now runs on the detailed core, and the
+/// field stays as the constant `mode=detailed` so v2 entries keep
+/// their addresses.
 pub const DIGEST_VERSION: u32 = 2;
 
 /// Behavioral version of the simulator whose outputs are being cached.
@@ -74,7 +76,7 @@ pub fn cell_digest(spec: &SweepSpec, experiment: &str, variant: &str, seed_index
         ("workload-warmup", spec.scale.workload_warmup.to_string()),
         ("workload-measure", spec.scale.workload_measure.to_string()),
         ("root-seed", format!("{:#x}", spec.root_seed)),
-        ("mode", spec.mode.label().to_string()),
+        ("mode", "detailed".to_string()),
     ])
 }
 
@@ -124,13 +126,6 @@ mod tests {
         let mut other = spec.clone();
         other.scale.pdf_samples += 1;
         assert_ne!(base, cell_digest(&other, "rollback", "es", 0));
-        let mut other = spec.clone();
-        other.mode = unxpec::cpu::ExecMode::FastForward;
-        assert_ne!(
-            base,
-            cell_digest(&other, "rollback", "es", 0),
-            "cached results must never mix execution modes"
-        );
     }
 
     #[test]

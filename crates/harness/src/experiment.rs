@@ -1,7 +1,6 @@
 //! The [`Experiment`] trait the sweep runner drives, and the trial
 //! input/output types shared with the manifest.
 
-use unxpec::cpu::ExecMode;
 use unxpec::experiments::seeding::Fnv64;
 use unxpec::experiments::Scale;
 
@@ -16,10 +15,6 @@ pub struct TrialCtx {
     pub scale: Scale,
     /// The experiment variant (one of [`Experiment::variants`]).
     pub variant: String,
-    /// Execution mode for the trial's simulated cores (two-speed
-    /// fast-forward or all-detailed). Participates in the cell digest,
-    /// so cached results never mix modes.
-    pub mode: ExecMode,
 }
 
 /// What one trial produces.
@@ -170,7 +165,6 @@ mod tests {
             seed: 9,
             scale: Scale::quick(),
             variant: "only".into(),
-            mode: ExecMode::Detailed,
         });
         assert_eq!(out.rendered, "seed 9");
     }

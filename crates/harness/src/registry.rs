@@ -228,22 +228,14 @@ impl Registry {
             },
         ));
         r.register(FnExperiment::new("overhead", &["default"], |ctx| {
-            let e = overhead::run_with_mode(
-                ctx.scale.workload_warmup,
-                ctx.scale.workload_measure,
-                ctx.mode,
-            );
+            let e = overhead::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
             TrialOutput::new(
                 e.to_string(),
                 vec![("cleanupspec_mean_overhead", e.mean_overhead(1))],
             )
         }));
         r.register(FnExperiment::new("defense-costs", &["default"], |ctx| {
-            let c = defense_costs::run_with_mode(
-                ctx.scale.workload_warmup,
-                ctx.scale.workload_measure,
-                ctx.mode,
-            );
+            let c = defense_costs::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
             let (cleanupspec, delay_on_miss, invisispec) = c.ordering();
             TrialOutput::new(
                 c.to_string(),
@@ -255,11 +247,7 @@ impl Registry {
             )
         }));
         r.register(FnExperiment::new("workloads", &["default"], |ctx| {
-            let p = workload_profile::run_with_mode(
-                ctx.scale.workload_warmup,
-                ctx.scale.workload_measure,
-                ctx.mode,
-            );
+            let p = workload_profile::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
             TrialOutput::new(p.to_string(), vec![])
         }));
         r.register(FnExperiment::new("table1", &["default"], |_ctx| {
@@ -347,7 +335,6 @@ mod tests {
             seed: 0x5eed,
             scale: Scale::quick(),
             variant: "no-es".into(),
-            mode: unxpec::cpu::ExecMode::Detailed,
         });
         assert!(!out.rendered.is_empty());
         assert_eq!(out.metrics.len(), 2);

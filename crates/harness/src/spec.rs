@@ -8,7 +8,6 @@
 //! *identity string*, so the seed of any trial is a pure function of
 //! the spec, independent of worker count and execution order.
 
-use unxpec::cpu::ExecMode;
 use unxpec::experiments::seeding::{self, fnv1a64};
 use unxpec::experiments::{Scale, ScaleError};
 
@@ -31,12 +30,6 @@ pub struct SweepSpec {
     pub seeds: u64,
     /// Root seed every trial seed derives from.
     pub root_seed: u64,
-    /// Execution mode every trial's simulated cores run under. Part of
-    /// the spec's identity (a fast-forward sweep is not interchangeable
-    /// with a detailed one), but appended to the canonical string only
-    /// when non-default so every existing detailed-mode manifest stays
-    /// valid.
-    pub mode: ExecMode,
 }
 
 /// One enumerated trial of a sweep.
@@ -100,7 +93,6 @@ impl SweepSpec {
             scale: Scale::quick(),
             seeds: 2,
             root_seed: seeding::DEFAULT_ROOT_SEED,
-            mode: ExecMode::Detailed,
         }
     }
 
@@ -122,7 +114,7 @@ impl SweepSpec {
     /// the grid and still reuse every recorded trial. Execution
     /// options (jobs, retries, output paths) are not identity either.
     pub fn canonical_string(&self) -> String {
-        let mut s = format!(
+        format!(
             "scale={},{},{},{},{};root-seed={:#x}",
             self.scale.timing_samples,
             self.scale.pdf_samples,
@@ -130,15 +122,7 @@ impl SweepSpec {
             self.scale.workload_warmup,
             self.scale.workload_measure,
             self.root_seed
-        );
-        // The default (detailed) mode is deliberately not spelled out:
-        // every manifest written before the two-speed core exists is a
-        // detailed manifest, and must keep digesting identically.
-        if self.mode != ExecMode::Detailed {
-            s.push_str(";mode=");
-            s.push_str(self.mode.label());
-        }
-        s
+        )
     }
 
     /// FNV-1a digest of [`SweepSpec::canonical_string`].
@@ -231,11 +215,6 @@ impl SweepSpec {
                     spec.root_seed =
                         parse_seed(value).ok_or_else(|| SpecError::Parse(line.to_string()))?;
                 }
-                "mode" => match value {
-                    "detailed" => spec.mode = ExecMode::Detailed,
-                    "fast-forward" => spec.mode = ExecMode::FastForward,
-                    _ => return Err(SpecError::Parse(line.to_string())),
-                },
                 _ => return Err(SpecError::Parse(line.to_string())),
             }
         }
@@ -331,29 +310,27 @@ mod tests {
     }
 
     #[test]
-    fn mode_is_identity_but_detailed_stays_silent() {
-        let detailed = SweepSpec::quick();
-        let mut ff = SweepSpec::quick();
-        ff.mode = ExecMode::FastForward;
-        assert_ne!(
-            detailed.digest(),
-            ff.digest(),
-            "fast-forward sweeps must never alias detailed manifests"
+    fn canonical_string_is_pinned() {
+        // Every checkpoint manifest ever written digests this string;
+        // it must not grow a field without invalidating them on purpose.
+        assert_eq!(
+            SweepSpec::quick().canonical_string(),
+            "scale=10,60,60,5000,15000;root-seed=0x5eed"
         );
-        assert!(
-            !detailed.canonical_string().contains("mode"),
-            "pre-two-speed manifests must keep digesting identically"
-        );
-        assert!(ff.canonical_string().ends_with(";mode=fast-forward"));
     }
 
     #[test]
-    fn parse_accepts_mode() {
-        let spec = SweepSpec::parse("mode=fast-forward\n").unwrap();
-        assert_eq!(spec.mode, ExecMode::FastForward);
-        let spec = SweepSpec::parse("mode=detailed\n").unwrap();
-        assert_eq!(spec.mode, ExecMode::Detailed);
-        assert!(SweepSpec::parse("mode=warp").is_err());
+    fn parse_rejects_the_mode_key() {
+        // Every trial runs on the detailed core; a spec cannot pick
+        // another execution mode.
+        for text in [
+            "mode=fast-forward",
+            "mode = detailed",
+            "seeds=2\nmode=fast-forward\n",
+        ] {
+            let line = text.lines().last().unwrap().trim().to_string();
+            assert_eq!(SweepSpec::parse(text), Err(SpecError::Parse(line)));
+        }
     }
 
     #[test]

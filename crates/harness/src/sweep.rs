@@ -304,7 +304,6 @@ pub fn run_sweep(
                 seed: trial.seed,
                 scale: spec.scale,
                 variant: trial.variant.clone(),
-                mode: spec.mode,
             })
         },
         |event| match event {

@@ -39,7 +39,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use unxpec::cpu::ExecMode;
 use unxpec::experiments::Scale;
 use unxpec_harness::{
     aggregate, cell_digest, default_jobs, run_tasks_with, submission_digest, Registry, RunPolicy,
@@ -74,11 +73,6 @@ pub struct ServiceConfig {
     pub cache: Option<CacheConfig>,
     /// Live metrics sink (`service.*` names); `None` disables.
     pub hub: Option<MetricsHub>,
-    /// Forces every submitted spec's execution mode (the `serve`
-    /// binary's `--fast-forward`). Applied *before* cell digests are
-    /// computed, so cached results never mix modes. `None` honours
-    /// whatever mode the spec itself carries.
-    pub mode_override: Option<ExecMode>,
     /// Durable write-ahead job journal path; `None` runs journal-less
     /// (a crash loses open jobs, though completed cells still survive
     /// in the result cache).
@@ -101,7 +95,6 @@ impl Default for ServiceConfig {
             max_tenant_inflight: 0,
             cache: None,
             hub: None,
-            mode_override: None,
             journal: None,
             admission: AdmissionConfig::default(),
             telemetry: Telemetry::disabled(),
@@ -450,7 +443,6 @@ struct BatchItem {
     variant: String,
     seed: u64,
     scale: Scale,
-    mode: ExecMode,
 }
 
 impl Service {
@@ -510,10 +502,7 @@ impl Service {
                     tenant,
                     spec_text,
                 } => {
-                    let parsed = SweepSpec::parse(spec_text).ok().and_then(|mut spec| {
-                        if let Some(mode) = inner.config.mode_override {
-                            spec.mode = mode;
-                        }
+                    let parsed = SweepSpec::parse(spec_text).ok().and_then(|spec| {
                         let trials = spec.enumerate(&inner.registry).ok()?;
                         Some((spec, trials))
                     });
@@ -649,11 +638,7 @@ impl Service {
     /// [`ServiceError::Overloaded`] while draining; re-attaches are
     /// exempt from both.
     pub fn submit(&self, tenant: &str, spec_text: &str) -> Result<(String, usize), ServiceError> {
-        let mut spec =
-            SweepSpec::parse(spec_text).map_err(|e| ServiceError::Spec(format!("{e:?}")))?;
-        if let Some(mode) = self.inner.config.mode_override {
-            spec.mode = mode;
-        }
+        let spec = SweepSpec::parse(spec_text).map_err(|e| ServiceError::Spec(format!("{e:?}")))?;
         let trials = spec
             .enumerate(&self.inner.registry)
             .map_err(|e| ServiceError::Spec(format!("{e:?}")))?;
@@ -1112,7 +1097,6 @@ impl Inner {
                         variant: trial.variant.clone(),
                         seed: trial.seed,
                         scale: entry.spec.scale,
-                        mode: entry.spec.mode,
                     });
                     inflight.insert(cell);
                     *per_tenant.entry(ring).or_insert(0) += 1;
@@ -1166,7 +1150,6 @@ impl Inner {
                         seed: item.seed,
                         scale: item.scale,
                         variant: item.variant.clone(),
-                        mode: item.mode,
                     }))
                 },
                 |_event| {},

@@ -28,6 +28,5 @@ mod runner;
 
 pub use kernels::{fast_forward_friendly_suite, spec2017_like_suite, KernelSpec, Workload};
 pub use runner::{
-    arith_mean_overhead, mean_overhead, measure_overheads, measure_overheads_with_mode,
-    DefenseFactory, OverheadRow,
+    arith_mean_overhead, mean_overhead, measure_overheads, DefenseFactory, OverheadRow,
 };

@@ -1,6 +1,6 @@
 //! Suite runner: per-workload cycles under a set of defense schemes.
 
-use unxpec_cpu::{Core, Cycle, Defense, ExecMode};
+use unxpec_cpu::{Core, Cycle, Defense};
 
 use crate::kernels::Workload;
 
@@ -44,19 +44,6 @@ pub fn measure_overheads(
     warmup: u64,
     measure: u64,
 ) -> Vec<OverheadRow> {
-    measure_overheads_with_mode(suite, schemes, warmup, measure, ExecMode::Detailed)
-}
-
-/// [`measure_overheads`] with an explicit execution mode: the two-speed
-/// fast-forward core covers committed straight-line stretches at
-/// interpreter speed while speculative episodes stay cycle-accurate.
-pub fn measure_overheads_with_mode(
-    suite: &[Workload],
-    schemes: &[(&str, DefenseFactory<'_>)],
-    warmup: u64,
-    measure: u64,
-    mode: ExecMode,
-) -> Vec<OverheadRow> {
     suite
         .iter()
         .map(|w| {
@@ -65,7 +52,6 @@ pub fn measure_overheads_with_mode(
                 .map(|(name, factory)| {
                     let mut core = Core::table_i();
                     core.set_defense(factory());
-                    core.set_mode(mode);
                     (name.to_string(), w.measure(&mut core, warmup, measure))
                 })
                 .collect();

@@ -880,6 +880,68 @@ fn journal_replay_restores_finished_jobs_and_reattaches_across_lifetimes() {
 }
 
 #[test]
+fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
+    // A spec that names an execution mode no longer parses: every trial
+    // runs on the detailed core. A journal written when it did parse
+    // must still replay, dropping that job and everything after it
+    // that refers to it, while other journaled jobs resume.
+    let dir = tmpdir("journal-mode-key");
+    let journal = dir.join("journal.log");
+    let mode_spec = format!("{SPEC}\nmode = fast-forward");
+    let history: String = [
+        JournalRecord::Submit {
+            job: 1,
+            tenant: "alice".to_string(),
+            spec_text: mode_spec.clone(),
+        },
+        JournalRecord::CellDone {
+            job: 1,
+            slot: 0,
+            cell: 0xdead_beef,
+        },
+        JournalRecord::Submit {
+            job: 2,
+            tenant: "bob".to_string(),
+            spec_text: SPEC_B.to_string(),
+        },
+    ]
+    .iter()
+    .map(JournalRecord::render)
+    .collect();
+    std::fs::write(&journal, history).expect("write journal");
+
+    let counter = Arc::new(AtomicUsize::new(0));
+    let hub = MetricsHub::new();
+    let service = Service::new(
+        counting_registry(Arc::clone(&counter)),
+        ServiceConfig {
+            jobs: 2,
+            journal: Some(journal),
+            hub: Some(hub.clone()),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("a journal can never brick the server");
+    let snapshot = hub.snapshot();
+    assert_eq!(snapshot.counter("service.journal.dropped"), 2);
+    assert_eq!(snapshot.counter("service.journal.jobs"), 1);
+    assert!(service.status("j1").is_err(), "the mode job is gone");
+    assert_eq!(service.status("j2").expect("bob's job resumes").open, 8);
+
+    assert!(matches!(
+        service.submit("alice", &mode_spec),
+        Err(ServiceError::Spec(_))
+    ));
+    let (job, trials) = service.submit("carol", SPEC).expect("submit");
+    assert_eq!((job.as_str(), trials), ("j3", 8));
+    drive(&service);
+    assert!(service.status("j2").expect("status").finished());
+    assert!(service.status("j3").expect("status").finished());
+    assert_eq!(counter.load(Ordering::SeqCst), 16);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn drain_timeout_leaves_the_remainder_journaled_for_the_next_lifetime() {
     let dir = tmpdir("drain-journal");
     let journal = dir.join("journal.log");
