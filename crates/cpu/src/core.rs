@@ -29,8 +29,6 @@
 //! [`SquashRecord`]s collected per run expose T1–T2 (resolution time) and
 //! T2–T6 (cleanup) to the experiment harness.
 
-use std::collections::VecDeque;
-
 use unxpec_cache::{CacheHierarchy, Cycle, Effect, Effects, HierarchyConfig, SpecTag};
 use unxpec_mem::{Addr, LineAddr, Memory};
 use unxpec_telemetry::{Event, MetricsRegistry, Telemetry};
@@ -102,13 +100,13 @@ impl RunResult {
 /// mispredicted, the index of its checkpoint. Every record logged after
 /// a frame opens belongs to it (and to every younger frame), so a
 /// squash rolls back the log's tail from the frame's start, and a
-/// correct resolve that empties the stack commits that same tail.
+/// correct resolve that empties the stack commits that same tail. Its
+/// resolve cycle lives in [`SpecStorage::resolve_cycles`], not here.
 #[derive(Debug, Clone, Copy)]
 struct Frame {
     epoch: SpecTag,
     branch_pc: PcIndex,
     dispatch_cycle: Cycle,
-    resolve_cycle: Cycle,
     correct_pc: PcIndex,
     /// Index into [`SpecStorage::checkpoints`]; `Some` exactly when the
     /// frame opened mispredicted (only those ever restore one).
@@ -143,7 +141,11 @@ struct Checkpoint {
 #[derive(Debug, Default)]
 struct SpecStorage {
     /// Open frames, oldest first.
-    frames: VecDeque<Frame>,
+    frames: Vec<Frame>,
+    /// Each open frame's resolve cycle, index-parallel to `frames` (the
+    /// only copy): the earliest-resolve scan reads this contiguous array
+    /// instead of striding over whole frames.
+    resolve_cycles: Vec<Cycle>,
     /// Checkpoints of the open mispredicted frames, oldest first.
     checkpoints: Vec<Checkpoint>,
     /// Fill effects of loads issued under an open frame, oldest first.
@@ -151,9 +153,100 @@ struct SpecStorage {
     /// Lines of fill-at-commit speculative loads (filled only when the
     /// last frame resolves correct).
     line_log: Vec<LineAddr>,
+    /// Cached stack summary, refreshed only when the stack changes (per
+    /// branch, not per instruction): the smallest resolve cycle and the
+    /// index of the oldest frame holding it, and the earliest
+    /// mispredicted resolve. A frame's resolve cycle and checkpoint
+    /// never change while it is open, so the cache cannot go stale
+    /// between stack mutations. `earliest_mispredict` is `Some` exactly
+    /// while a mispredicted frame is open, i.e. on the wrong path.
+    earliest_resolve: Option<(Cycle, usize)>,
+    earliest_mispredict: Option<Cycle>,
 }
 
 impl SpecStorage {
+    /// Opens `frame` as the youngest, resolving at `resolve_cycle`, with
+    /// its log starts taken now and `checkpoint` pushed if it opened
+    /// mispredicted, and folds it into the cached summary in O(1). The
+    /// new frame takes the last index, so the strict `<` keeps an older
+    /// frame on a tie, exactly as [`Self::refresh_earliest_resolve`]'s
+    /// rescan would.
+    fn open(&mut self, mut frame: Frame, resolve_cycle: Cycle, checkpoint: Option<Checkpoint>) {
+        frame.effects_start = self.effect_log.len();
+        frame.lines_start = self.line_log.len();
+        frame.checkpoint = checkpoint.map(|ckpt| {
+            self.checkpoints.push(ckpt);
+            self.checkpoints.len() - 1
+        });
+        if self.earliest_resolve.is_none_or(|(c, _)| resolve_cycle < c) {
+            self.earliest_resolve = Some((resolve_cycle, self.frames.len()));
+        }
+        if frame.checkpoint.is_some() {
+            self.earliest_mispredict = Some(
+                self.earliest_mispredict
+                    .map_or(resolve_cycle, |c| c.min(resolve_cycle)),
+            );
+        }
+        self.frames.push(frame);
+        self.resolve_cycles.push(resolve_cycle);
+    }
+
+    /// Closes the correctly predicted frame at `idx`, leaving every other
+    /// frame open. It held no checkpoint, so only the earliest resolve
+    /// can move. The youngest frame is the one most often closed (70% of
+    /// `spec-detailed`'s correct resolves, 43% of `unxpec-leak`'s), and
+    /// popping it moves nothing, where `Vec::remove` would still call
+    /// `memmove` twice.
+    fn remove(&mut self, idx: usize) {
+        if idx + 1 == self.frames.len() {
+            self.frames.pop();
+            self.resolve_cycles.pop();
+        } else if idx < self.frames.len() {
+            self.frames.remove(idx);
+            self.resolve_cycles.remove(idx);
+        } else {
+            return;
+        }
+        self.refresh_earliest_resolve();
+    }
+
+    /// Squashes the mispredicted frame at `idx` and every younger frame,
+    /// dropping their checkpoints, and returns the frame's own
+    /// checkpoint. The logs stay as they are until
+    /// [`Self::drop_since`]: the defense reads the squashed records
+    /// first.
+    fn squash(&mut self, idx: usize) -> Option<Checkpoint> {
+        let ckpt_idx = self.frames.get(idx)?.checkpoint?;
+        let checkpoint = self.checkpoints.get(ckpt_idx).copied();
+        self.frames.truncate(idx);
+        self.resolve_cycles.truncate(idx);
+        self.checkpoints.truncate(ckpt_idx);
+        self.refresh_earliest_resolve();
+        self.earliest_mispredict = self
+            .frames
+            .iter()
+            .zip(&self.resolve_cycles)
+            .filter(|(f, _)| f.checkpoint.is_some())
+            .map(|(_, &c)| c)
+            .min();
+        checkpoint
+    }
+
+    /// Re-derives `earliest_resolve`: the first index of the smallest
+    /// resolve cycle, so the oldest frame wins a tie.
+    fn refresh_earliest_resolve(&mut self) {
+        let mut cycles = self.resolve_cycles.iter().copied().enumerate();
+        self.earliest_resolve = cycles.next().map(|(_, first)| {
+            let mut earliest = (first, 0);
+            for (i, c) in cycles {
+                if c < earliest.0 {
+                    earliest = (c, i);
+                }
+            }
+            earliest
+        });
+    }
+
     /// Logs one load's fill effects and deferred line, if a frame is
     /// open to own them.
     fn log(&mut self, effects: &[Effect], line: Option<LineAddr>) {
@@ -166,6 +259,31 @@ impl SpecStorage {
         }
     }
 
+    /// The effects and deferred lines logged since `frame` opened: what
+    /// its squash rolls back, or, once it was the last open frame, what
+    /// its correct resolve commits.
+    fn since(&self, frame: &Frame) -> (&[Effect], &[LineAddr]) {
+        (
+            self.effect_log
+                .get(frame.effects_start..)
+                .unwrap_or_default(),
+            self.line_log.get(frame.lines_start..).unwrap_or_default(),
+        )
+    }
+
+    /// Drops the records logged since the squashed `frame` opened, so
+    /// enclosing frames no longer own them. With no frame left, drops
+    /// every record, those of frames that resolved correct while it was
+    /// open included (the logs are empty whenever no frame is open).
+    fn drop_since(&mut self, frame: &Frame) {
+        if self.frames.is_empty() {
+            self.clear_logs();
+        } else {
+            self.effect_log.truncate(frame.effects_start);
+            self.line_log.truncate(frame.lines_start);
+        }
+    }
+
     fn clear_logs(&mut self) {
         self.effect_log.clear();
         self.line_log.clear();
@@ -175,8 +293,22 @@ impl SpecStorage {
     /// on a bound), keeping the buffers' capacity.
     fn clear(&mut self) {
         self.frames.clear();
+        self.resolve_cycles.clear();
         self.checkpoints.clear();
         self.clear_logs();
+        self.earliest_resolve = None;
+        self.earliest_mispredict = None;
+    }
+
+    fn youngest_epoch(&self) -> Option<SpecTag> {
+        self.frames.last().map(|f| f.epoch)
+    }
+
+    fn earliest_resolvable(&self, now: Cycle) -> Option<usize> {
+        match self.earliest_resolve {
+            Some((c, i)) if c <= now => Some(i),
+            _ => None,
+        }
     }
 }
 
@@ -473,8 +605,6 @@ impl Core {
             hit_limit: false,
             trace: if self.tracing { Some(Vec::new()) } else { None },
             tel_seq: 0,
-            earliest_resolve: None,
-            earliest_mispredict: None,
         };
 
         // One instance of the dispatch loop per run: any observer selects
@@ -580,7 +710,7 @@ impl Core {
 
             // Resolve frames whose branches have resolved by now.
             let peek = st.peek_dispatch_cycle();
-            if let Some(idx) = st.earliest_resolvable(peek) {
+            if let Some(idx) = st.spec.earliest_resolvable(peek) {
                 self.resolve_frame(st, idx);
                 continue;
             }
@@ -589,7 +719,7 @@ impl Core {
             let inst = match program.fetch(st.pc) {
                 Some(inst) => inst,
                 None => {
-                    if let Some(resolve) = st.earliest_mispredict_resolve() {
+                    if let Some(resolve) = st.spec.earliest_mispredict {
                         // Wrong-path fetch ran off the program; stall
                         // until the squash redirects us.
                         st.stall_to(resolve);
@@ -601,13 +731,12 @@ impl Core {
             };
 
             if inst == Inst::Halt {
-                if let Some(resolve) = st.earliest_mispredict_resolve() {
+                if let Some(resolve) = st.spec.earliest_mispredict {
                     st.stall_to(resolve);
                     continue;
                 }
                 // Drain remaining (correct) frames and finish.
-                while let Some(idx) = st.earliest_frame() {
-                    let r = st.spec.frames[idx].resolve_cycle;
+                while let Some((r, idx)) = st.spec.earliest_resolve {
                     st.stall_to(r);
                     self.resolve_frame(st, idx);
                 }
@@ -924,13 +1053,15 @@ impl Core {
     /// pipeline events and pushes the trace.
     fn execute<const OBSERVED: bool>(&mut self, st: &mut Exec, inst: Inst, d: Cycle) {
         let pc = st.pc;
-        let wrong_path = st.has_mispredicted_frame();
+        // A mispredicted frame is open exactly when its resolve is
+        // pending, so one cached field answers both questions.
+        let squash_at = st.spec.earliest_mispredict;
+        let wrong_path = squash_at.is_some();
         if wrong_path {
             st.stats.squashed_insts += 1;
         } else {
             st.stats.committed_insts += 1;
         }
-        let squash_at = st.earliest_mispredict_resolve();
         if OBSERVED {
             self.telemetry.emit(Event::Dispatch {
                 cycle: d,
@@ -977,7 +1108,7 @@ impl Core {
                     st.avail[dst.index()] = squash;
                     complete = start;
                 } else {
-                    let tag = st.youngest_epoch();
+                    let tag = st.spec.youngest_epoch();
                     let policy = if tag.is_some() {
                         self.defense.fill_policy()
                     } else {
@@ -1010,9 +1141,9 @@ impl Core {
                                 deferred_line = Some(addr.line());
                                 let resolve_all = st
                                     .spec
-                                    .frames
+                                    .resolve_cycles
                                     .iter()
-                                    .map(|f| f.resolve_cycle)
+                                    .copied()
                                     .max()
                                     .unwrap_or(start)
                                     .max(start);
@@ -1187,7 +1318,7 @@ impl Core {
                     complete = start;
                     st.pc += 1;
                 } else {
-                    let tag = st.youngest_epoch();
+                    let tag = st.spec.youngest_epoch();
                     if OBSERVED {
                         self.telemetry.emit(Event::Issue {
                             cycle: start,
@@ -1252,37 +1383,36 @@ impl Core {
     /// Resolves the frame at `idx` (its branch's resolve cycle has been
     /// reached).
     fn resolve_frame(&mut self, st: &mut Exec, idx: usize) {
-        let Some(&frame) = st.spec.frames.get(idx) else {
-            // `idx` always comes from `earliest_frame`; bail out rather
+        let (Some(&frame), Some(&resolve)) =
+            (st.spec.frames.get(idx), st.spec.resolve_cycles.get(idx))
+        else {
+            // `idx` always comes from `earliest_resolve`; bail out rather
             // than panic if it ever is stale.
             return;
         };
-        let Some(ckpt_idx) = frame.checkpoint else {
-            st.spec.frames.remove(idx);
-            st.refresh_earliest_resolve();
-            st.stall_to(frame.resolve_cycle);
+        if frame.checkpoint.is_none() {
+            st.spec.remove(idx);
+            st.stall_to(resolve);
             if st.spec.frames.is_empty() {
-                let effects = &st.spec.effect_log[frame.effects_start..];
+                let (effects, lines) = st.spec.since(&frame);
                 if !effects.is_empty() {
                     self.defense.on_commit_epoch(&mut self.hier, effects);
                 }
                 // Invisible-policy loads expose their data now: the
                 // buffered fills become architectural.
-                for &line in &st.spec.line_log[frame.lines_start..] {
-                    self.hier.access_data(line, frame.resolve_cycle, None);
+                for &line in lines {
+                    self.hier.access_data(line, resolve, None);
                 }
                 st.spec.clear_logs();
             }
             return;
-        };
+        }
 
         // Mis-speculation: squash this frame and everything younger.
-        st.spec.frames.truncate(idx);
-        st.refresh_frame_cache();
-        let resolve = frame.resolve_cycle;
+        let checkpoint = st.spec.squash(idx);
         let squashed_loads = (st.loads_issued - frame.loads_at_open) as usize;
         let squashed_insts = (st.dispatched() - frame.insts_at_open) as usize;
-        let transient = &st.spec.effect_log[frame.effects_start..];
+        let (transient, _) = st.spec.since(&frame);
         let l1_installs = transient.iter().filter(|e| e.is_l1()).count();
         let l1_evictions = transient
             .iter()
@@ -1314,26 +1444,17 @@ impl Core {
             self.structural_checks(st);
         }
 
-        // Squashed loads' records leave the logs, so enclosing frames no
-        // longer own them: the defense already rolled them back. With no
-        // frame left, so do the records of frames that resolved correct
-        // while this one was open (the logs are empty whenever no frame
-        // is open).
-        if st.spec.frames.is_empty() {
-            st.spec.clear_logs();
-        } else {
-            st.spec.effect_log.truncate(frame.effects_start);
-            st.spec.line_log.truncate(frame.lines_start);
-        }
+        // Squashed loads' records leave the logs: the defense already
+        // rolled them back.
+        st.spec.drop_since(&frame);
 
         // Roll the architectural path back to the checkpoint.
-        if let Some(ckpt) = st.spec.checkpoints.get(ckpt_idx).copied() {
+        if let Some(ckpt) = checkpoint {
             st.regs = ckpt.regs;
             st.avail = ckpt.avail;
             st.last_complete = ckpt.last_complete.max(redirect);
             st.last_mem = ckpt.last_mem.max(redirect);
         }
-        st.spec.checkpoints.truncate(ckpt_idx);
         st.pc = frame.correct_pc;
         st.stall_to(redirect + self.cfg.squash_penalty);
 
@@ -1745,14 +1866,6 @@ struct Exec {
     /// Sequence number of the next dispatched instruction, shared by its
     /// pipeline events and its trace event (observed runs only).
     tel_seq: u64,
-    /// Cached frame-stack summary, refreshed only when the stack
-    /// changes (per branch, not per instruction): the min resolve cycle
-    /// and its index, and the earliest mispredicted resolve. A frame's
-    /// `resolve_cycle` and `checkpoint` are immutable after it is
-    /// pushed, so the cache cannot go stale between stack mutations.
-    /// (The mispredicted-frame count is the checkpoint stack's length.)
-    earliest_resolve: Option<(Cycle, usize)>,
-    earliest_mispredict: Option<Cycle>,
 }
 
 impl Exec {
@@ -1803,10 +1916,6 @@ impl Exec {
         start
     }
 
-    fn youngest_epoch(&self) -> Option<SpecTag> {
-        self.spec.frames.back().map(|f| f.epoch)
-    }
-
     /// Instructions dispatched this run (committed + squashed) — the
     /// minuend for per-frame instruction counts derived at squash time.
     fn dispatched(&self) -> u64 {
@@ -1815,10 +1924,7 @@ impl Exec {
 
     /// Opens a frame for the speculation source at `self.pc` as the
     /// youngest, checkpointing the architectural state only if it is
-    /// `mispredicted`, and folds it into the cached frame-stack summary
-    /// in O(1). The new frame takes the last index, so the strict `<`
-    /// below keeps an older frame on a tie, exactly as
-    /// [`Self::refresh_frame_cache`]'s rescan would.
+    /// `mispredicted`.
     fn open_frame(
         &mut self,
         epoch: SpecTag,
@@ -1827,87 +1933,30 @@ impl Exec {
         mispredicted: bool,
         correct_pc: PcIndex,
     ) {
-        let checkpoint = mispredicted.then(|| {
-            self.spec.checkpoints.push(Checkpoint {
+        let frame = Frame {
+            epoch,
+            branch_pc: self.pc,
+            dispatch_cycle,
+            correct_pc,
+            checkpoint: None,
+            effects_start: 0,
+            lines_start: 0,
+            loads_at_open: self.loads_issued,
+            insts_at_open: self.dispatched(),
+        };
+        // Only a mispredicted frame ever restores its checkpoint, so
+        // only one pays for the 528-byte copy.
+        let checkpoint = if mispredicted {
+            Some(Checkpoint {
                 regs: self.regs,
                 avail: self.avail,
                 last_complete: self.last_complete,
                 last_mem: self.last_mem,
-            });
-            self.spec.checkpoints.len() - 1
-        });
-        let idx = self.spec.frames.len();
-        self.spec.frames.push_back(Frame {
-            epoch,
-            branch_pc: self.pc,
-            dispatch_cycle,
-            resolve_cycle,
-            correct_pc,
-            checkpoint,
-            effects_start: self.spec.effect_log.len(),
-            lines_start: self.spec.line_log.len(),
-            loads_at_open: self.loads_issued,
-            insts_at_open: self.dispatched(),
-        });
-        if self.earliest_resolve.is_none_or(|(c, _)| resolve_cycle < c) {
-            self.earliest_resolve = Some((resolve_cycle, idx));
-        }
-        if mispredicted {
-            self.earliest_mispredict = Some(
-                self.earliest_mispredict
-                    .map_or(resolve_cycle, |c| c.min(resolve_cycle)),
-            );
-        }
-    }
-
-    /// Rebuilds the whole cached frame-stack summary, after a squash
-    /// truncates the frames (pushes go through the O(1)
-    /// [`Self::open_frame`], correct resolves through
-    /// [`Self::refresh_earliest_resolve`]); the per-instruction queries
-    /// below then read the cache in O(1) instead of rescanning the stack.
-    fn refresh_frame_cache(&mut self) {
-        self.refresh_earliest_resolve();
-        self.earliest_mispredict = self
-            .spec
-            .frames
-            .iter()
-            .filter(|f| f.checkpoint.is_some())
-            .map(|f| f.resolve_cycle)
-            .min();
-    }
-
-    /// Re-derives `earliest_resolve`: the oldest of the frames with the
-    /// smallest resolve cycle (`min_by_key` keeps the first on ties).
-    /// On its own it is the whole update after a correctly predicted
-    /// frame leaves the stack: that frame held no checkpoint, so
-    /// `earliest_mispredict` cannot move.
-    fn refresh_earliest_resolve(&mut self) {
-        self.earliest_resolve = self
-            .spec
-            .frames
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, f)| f.resolve_cycle)
-            .map(|(i, f)| (f.resolve_cycle, i));
-    }
-
-    fn has_mispredicted_frame(&self) -> bool {
-        !self.spec.checkpoints.is_empty()
-    }
-
-    fn earliest_mispredict_resolve(&self) -> Option<Cycle> {
-        self.earliest_mispredict
-    }
-
-    fn earliest_frame(&self) -> Option<usize> {
-        self.earliest_resolve.map(|(_, i)| i)
-    }
-
-    fn earliest_resolvable(&self, now: Cycle) -> Option<usize> {
-        match self.earliest_resolve {
-            Some((c, i)) if c <= now => Some(i),
-            _ => None,
-        }
+            })
+        } else {
+            None
+        };
+        self.spec.open(frame, resolve_cycle, checkpoint);
     }
 }
 
@@ -2438,6 +2487,39 @@ mod edge_tests {
             "commit must clear the tag once all frames resolve"
         );
     }
+
+    #[test]
+    fn older_frame_resolving_under_a_younger_one_never_commits_its_loads() {
+        // Known fault, pinned so a change to the frame store cannot move
+        // it silently (ROADMAP item 4): frame A (a short multiply chain)
+        // resolves correct while the younger frame B (a slow load) is
+        // still open, and the commit that B's resolve triggers covers
+        // only B's records. The load issued under A alone is never
+        // handed to `on_commit_epoch`, so its line keeps the speculative
+        // tag after a run with no mispredict.
+        let mut core = Core::table_i();
+        let mut b = ProgramBuilder::new();
+        b.mov(Reg(1), 0x4000);
+        b.load(Reg(2), Reg(1), 0); // slow, reads 0
+        b.mov(Reg(7), 0);
+        for _ in 0..4 {
+            b.mul(Reg(7), Reg(7), 3u64);
+        }
+        b.branch(Cond::Ne, Reg(7), 0u64, "a"); // frame A
+        b.mov(Reg(3), 0xd000);
+        b.load(Reg(4), Reg(3), 0); // speculative under A only
+        b.branch(Cond::Ne, Reg(2), 0u64, "b"); // frame B
+        b.label("a");
+        b.label("b");
+        b.halt();
+        let r = core.run(&b.build());
+        assert_eq!(r.stats.mispredicts, 0);
+        assert!(core.hierarchy().l1_contains(Addr::new(0xd000).line()));
+        assert!(
+            core.hierarchy().l1_is_speculative(Addr::new(0xd000).line()),
+            "the load under the older frame stays tagged"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -2938,6 +3020,235 @@ mod fast_forward_tests {
         );
         for pair in switches.chunks(2) {
             assert_eq!(pair, [true, false], "spans must alternate enter/exit");
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
+mod spec_storage_tests {
+    use std::collections::VecDeque;
+
+    use unxpec_mem::seed::Xoshiro256pp;
+
+    use super::*;
+
+    /// One frame of the [`Reference`] store, resolve cycle inline.
+    #[derive(Debug, Clone, Copy)]
+    struct RefFrame {
+        epoch: SpecTag,
+        resolve_cycle: Cycle,
+        mispredicted: bool,
+        effects_start: usize,
+        lines_start: usize,
+    }
+
+    /// The store without the contiguous resolve array or the cached
+    /// summary: a deque of whole frames that every query scans.
+    #[derive(Default)]
+    struct Reference {
+        frames: VecDeque<RefFrame>,
+        effect_log: Vec<Effect>,
+        line_log: Vec<LineAddr>,
+    }
+
+    impl Reference {
+        /// `min_by_key` keeps the first of equal minima: the oldest
+        /// frame wins a tie.
+        fn earliest_resolve(&self) -> Option<(Cycle, usize)> {
+            self.frames
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, f)| f.resolve_cycle)
+                .map(|(i, f)| (f.resolve_cycle, i))
+        }
+
+        fn earliest_mispredict(&self) -> Option<Cycle> {
+            self.frames
+                .iter()
+                .filter(|f| f.mispredicted)
+                .map(|f| f.resolve_cycle)
+                .min()
+        }
+    }
+
+    fn effect(rng: &mut Xoshiro256pp) -> Effect {
+        let line = LineAddr::new(rng.below(64));
+        let (set, way) = (rng.below(8) as usize, rng.below(4) as usize);
+        if rng.gen_bool(0.5) {
+            Effect::FillL1 {
+                line,
+                set,
+                way,
+                victim: None,
+            }
+        } else {
+            Effect::FillL2 {
+                line,
+                set,
+                way,
+                victim: None,
+            }
+        }
+    }
+
+    /// A checkpoint that names the frame it was taken for.
+    fn checkpoint(epoch: SpecTag) -> Checkpoint {
+        let mut regs = [0; NUM_REGS];
+        regs[0] = epoch.0;
+        Checkpoint {
+            regs,
+            avail: [0; NUM_REGS],
+            last_complete: 0,
+            last_mem: 0,
+        }
+    }
+
+    fn assert_same(store: &SpecStorage, r: &Reference, seed: u64) {
+        assert_eq!(store.earliest_resolve, r.earliest_resolve(), "seed {seed}");
+        assert_eq!(
+            store.earliest_mispredict,
+            r.earliest_mispredict(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            store.youngest_epoch(),
+            r.frames.back().map(|f| f.epoch),
+            "seed {seed}"
+        );
+        let cycles: Vec<Cycle> = r.frames.iter().map(|f| f.resolve_cycle).collect();
+        assert_eq!(store.resolve_cycles, cycles, "seed {seed}");
+        assert_eq!(
+            store.frames.len(),
+            store.resolve_cycles.len(),
+            "seed {seed}"
+        );
+        // One checkpoint per mispredicted frame, oldest first.
+        let taken: Vec<u64> = store.checkpoints.iter().map(|c| c.regs[0]).collect();
+        let want: Vec<u64> = r
+            .frames
+            .iter()
+            .filter(|f| f.mispredicted)
+            .map(|f| f.epoch.0)
+            .collect();
+        assert_eq!(taken, want, "seed {seed}");
+        assert_eq!(store.effect_log, r.effect_log, "seed {seed}");
+        assert_eq!(store.line_log, r.line_log, "seed {seed}");
+    }
+
+    /// Seeded random open, log, correct-resolve and squash sequences,
+    /// closing frames the way [`Core::resolve_frame`] does: the store
+    /// must agree with the scanning reference on every query, and hand
+    /// the defense exactly the records the reference does.
+    #[test]
+    fn frame_store_matches_a_scanning_reference() {
+        for seed in 0..64 {
+            let mut rng = Xoshiro256pp::new(seed);
+            let mut store = SpecStorage::default();
+            let mut r = Reference::default();
+            let mut next_epoch = 1;
+            for _ in 0..600 {
+                match rng.below(10) {
+                    0..=3 => {
+                        // Resolve cycles from a narrow range, so ties
+                        // are common.
+                        let epoch = SpecTag(next_epoch);
+                        next_epoch += 1;
+                        let resolve_cycle = rng.below(24);
+                        let mispredicted = rng.gen_bool(0.3);
+                        let frame = Frame {
+                            epoch,
+                            branch_pc: 0,
+                            dispatch_cycle: 0,
+                            correct_pc: 0,
+                            checkpoint: None,
+                            effects_start: 0,
+                            lines_start: 0,
+                            loads_at_open: 0,
+                            insts_at_open: 0,
+                        };
+                        store.open(
+                            frame,
+                            resolve_cycle,
+                            mispredicted.then(|| checkpoint(epoch)),
+                        );
+                        r.frames.push_back(RefFrame {
+                            epoch,
+                            resolve_cycle,
+                            mispredicted,
+                            effects_start: r.effect_log.len(),
+                            lines_start: r.line_log.len(),
+                        });
+                    }
+                    4..=6 => {
+                        let effects: Vec<Effect> =
+                            (0..rng.below(3)).map(|_| effect(&mut rng)).collect();
+                        let line = rng.gen_bool(0.5).then(|| LineAddr::new(rng.below(64)));
+                        store.log(&effects, line);
+                        if !r.frames.is_empty() {
+                            r.effect_log.extend_from_slice(&effects);
+                            r.line_log.extend(line);
+                        }
+                    }
+                    _ => {
+                        // Mostly the frame the core resolves next, now
+                        // and then any open frame.
+                        let idx = if rng.gen_bool(0.8) {
+                            r.earliest_resolve().map(|(_, i)| i)
+                        } else {
+                            (!r.frames.is_empty())
+                                .then(|| rng.below(r.frames.len() as u64) as usize)
+                        };
+                        let Some(idx) = idx else { continue };
+                        let want = r.frames[idx];
+                        let frame = store.frames[idx];
+                        assert_eq!(frame.epoch, want.epoch, "seed {seed}");
+                        if want.mispredicted {
+                            let ckpt = store.squash(idx).expect("a mispredicted frame checkpoints");
+                            assert_eq!(ckpt.regs[0], want.epoch.0, "seed {seed}");
+                            // What `on_squash` receives.
+                            let (transient, _) = store.since(&frame);
+                            assert_eq!(
+                                transient,
+                                &r.effect_log[want.effects_start..],
+                                "seed {seed}"
+                            );
+                            store.drop_since(&frame);
+                            r.frames.truncate(idx);
+                            if r.frames.is_empty() {
+                                r.effect_log.clear();
+                                r.line_log.clear();
+                            } else {
+                                r.effect_log.truncate(want.effects_start);
+                                r.line_log.truncate(want.lines_start);
+                            }
+                        } else {
+                            assert!(frame.checkpoint.is_none(), "seed {seed}");
+                            store.remove(idx);
+                            r.frames.remove(idx);
+                            assert_eq!(store.frames.is_empty(), r.frames.is_empty());
+                            if r.frames.is_empty() {
+                                // What `on_commit_epoch` and the deferred
+                                // fills receive.
+                                let (effects, lines) = store.since(&frame);
+                                assert_eq!(
+                                    effects,
+                                    &r.effect_log[want.effects_start..],
+                                    "seed {seed}"
+                                );
+                                assert_eq!(lines, &r.line_log[want.lines_start..], "seed {seed}");
+                                store.clear_logs();
+                                r.effect_log.clear();
+                                r.line_log.clear();
+                            }
+                        }
+                    }
+                }
+                assert_same(&store, &r, seed);
+            }
+            store.clear();
+            assert_same(&store, &Reference::default(), seed);
+            assert!(store.checkpoints.is_empty());
         }
     }
 }

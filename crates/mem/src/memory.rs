@@ -10,6 +10,15 @@ use crate::{Addr, LineAddr, CACHE_LINE_BYTES};
 /// 64-bit words per cache line.
 const WORDS_PER_LINE: usize = CACHE_LINE_BYTES as usize / 8;
 
+/// Words per copy-on-write chunk of a mapped region (4 KiB): the unit a
+/// region's first store into any of its words copies.
+const CHUNK_WORDS: usize = 512;
+
+/// A private copy of one chunk. Fixed-size, so a load indexes it with
+/// no length to read or check; in a region's last chunk, the words past
+/// the region stay zero and are never read.
+type Chunk = Box<[u64; CHUNK_WORDS]>;
+
 /// The architectural memory of the simulated machine.
 ///
 /// Lines not yet written read as zero. The store is the single source of
@@ -19,13 +28,14 @@ const WORDS_PER_LINE: usize = CACHE_LINE_BYTES as usize / 8;
 /// Data lives in one of two stores, and every line in exactly one of
 /// them: a sparse map from line address to 64 bytes, and a short list of
 /// dense, line-aligned word regions installed by [`Memory::map_words`].
-/// A region starts out sharing its words with whoever mapped them (a
-/// workload's table is built once and mapped into every core that runs
-/// it); the first store into it copies the words into a private buffer,
-/// so no store ever reaches another memory. Loads and stores check the
-/// regions first: one pointer hop to the words, and no reference-count
-/// traffic, because the sharing is resolved once per region rather than
-/// once per access.
+/// A region shares its words with whoever mapped them (a workload's
+/// table is built once and mapped into every core that runs it); the
+/// first store into a 4 KiB chunk of it copies that chunk alone into a
+/// private buffer, so no store ever reaches another memory and a table
+/// stored into at a few places costs a few chunks, not a whole copy.
+/// Loads and stores check the regions first: a region with no private
+/// chunk reads its shared words directly, and no access touches a
+/// reference count.
 ///
 /// # Examples
 ///
@@ -41,7 +51,7 @@ const WORDS_PER_LINE: usize = CACHE_LINE_BYTES as usize / 8;
 /// let table: Arc<[u64]> = (0..16).collect();
 /// mem.map_words(Addr::new(0x1000), Arc::clone(&table));
 /// assert_eq!(mem.read_u64(Addr::new(0x1008)), 1);
-/// mem.write_u64(Addr::new(0x1008), 7); // copies the region, not `table`
+/// mem.write_u64(Addr::new(0x1008), 7); // copies a chunk, not `table`
 /// assert_eq!(mem.read_u64(Addr::new(0x1008)), 7);
 /// assert_eq!(table[1], 1);
 /// ```
@@ -56,20 +66,20 @@ pub struct Memory {
 }
 
 /// One dense, line-aligned run of little-endian words.
+///
+/// Every word lives in exactly one place: in its chunk's private copy
+/// if that chunk has been stored into, else in the shared words.
 #[derive(Debug, Clone)]
 struct Region {
     /// Byte address of the first word (line aligned).
     base: u64,
     /// Length in bytes (a whole number of lines).
     len: u64,
-    words: Words,
-}
-
-/// A region's words: shared until its first store, private after.
-#[derive(Debug, Clone)]
-enum Words {
-    Shared(Arc<[u64]>),
-    Owned(Box<[u64]>),
+    /// The mapped words, never written through this region.
+    shared: Arc<[u64]>,
+    /// Private copies of the chunks stored into, one slot per chunk of
+    /// [`CHUNK_WORDS`] words. Empty until the region's first store.
+    private: Vec<Option<Chunk>>,
 }
 
 impl Region {
@@ -80,25 +90,32 @@ impl Region {
         (off < self.len).then_some((off / 8) as usize)
     }
 
+    /// The word at `index`.
     #[inline]
-    fn words(&self) -> &[u64] {
-        match &self.words {
-            Words::Shared(words) => words,
-            Words::Owned(words) => words,
+    fn word(&self, index: usize) -> Option<u64> {
+        match self.private.get(index / CHUNK_WORDS) {
+            Some(Some(chunk)) => Some(chunk[index % CHUNK_WORDS]),
+            _ => self.shared.get(index).copied(),
         }
     }
 
-    /// The word at `index`, copying a shared region to a private one
-    /// first.
+    /// The word at `index`, copying its chunk to a private one first.
     #[inline]
     fn word_mut(&mut self, index: usize) -> Option<&mut u64> {
-        if let Words::Shared(shared) = &self.words {
-            self.words = Words::Owned(Box::from(&shared[..]));
+        if index >= self.shared.len() {
+            return None;
         }
-        match &mut self.words {
-            Words::Owned(words) => words.get_mut(index),
-            Words::Shared(_) => None,
+        if self.private.is_empty() {
+            self.private
+                .resize_with(self.shared.len().div_ceil(CHUNK_WORDS), || None);
         }
+        let chunk = index / CHUNK_WORDS;
+        let slot = self.private.get_mut(chunk)?;
+        let words = match slot {
+            Some(words) => words,
+            None => slot.insert(copy_chunk(&self.shared, chunk)),
+        };
+        Some(&mut words[index % CHUNK_WORDS])
     }
 
     /// Whether the region shares any line in `first..first + count`.
@@ -107,6 +124,20 @@ impl Region {
         let own_count = self.len / CACHE_LINE_BYTES;
         first < own_first + own_count && own_first < first + count
     }
+}
+
+/// A private copy of chunk `chunk` of `shared`.
+#[cold]
+fn copy_chunk(shared: &[u64], chunk: usize) -> Chunk {
+    let mut copy = Box::new([0; CHUNK_WORDS]);
+    let start = chunk * CHUNK_WORDS;
+    let words = shared
+        .get(start..shared.len().min(start + CHUNK_WORDS))
+        .unwrap_or_default();
+    if let Some(dst) = copy.get_mut(..words.len()) {
+        dst.copy_from_slice(words);
+    }
+    copy
 }
 
 impl Memory {
@@ -120,7 +151,7 @@ impl Memory {
     fn region_word(&self, addr: Addr) -> Option<u64> {
         self.regions
             .iter()
-            .find_map(|r| r.index(addr).and_then(|i| r.words().get(i).copied()))
+            .find_map(|r| r.index(addr).and_then(|i| r.word(i)))
     }
 
     /// The word holding `addr`, mutably, if a region covers it.
@@ -198,10 +229,10 @@ impl Memory {
     ///
     /// When `base` is line aligned, `words` fills whole lines, and none of
     /// those lines has been written or mapped before, no word is copied:
-    /// the words are mapped as a shared region and copied only on the
-    /// first store into it, so other memories mapping the same `Arc`
-    /// never see that store. Otherwise it falls back to word-by-word
-    /// writes.
+    /// the words are mapped as a shared region, and the first store into
+    /// a 4 KiB chunk of it copies that chunk only, so other memories
+    /// mapping the same `Arc` never see that store. Otherwise it falls
+    /// back to word-by-word writes.
     ///
     /// # Panics
     ///
@@ -219,7 +250,8 @@ impl Memory {
             self.regions.push(Region {
                 base: base.raw(),
                 len,
-                words: Words::Shared(words),
+                shared: words,
+                private: Vec::new(),
             });
         } else {
             for (i, &word) in words.iter().enumerate() {
@@ -322,6 +354,50 @@ mod tests {
         assert_eq!(before.read_u8(Addr::new(0x2010)), 7);
         assert_eq!(mem.read_u8(Addr::new(0x2010)), 7);
         assert_eq!(shared[2], 7);
+    }
+
+    #[test]
+    fn a_store_copies_its_chunk_alone() {
+        // Two whole chunks and a partial third.
+        let words = 2 * CHUNK_WORDS as u64 + 40;
+        let shared: Arc<[u64]> = (0..words).map(|i| i * 3 + 1).collect();
+        let mut mem = Memory::new();
+        mem.map_words(Addr::new(0x10_000), Arc::clone(&shared));
+        // The last word of the middle chunk.
+        let stored = CHUNK_WORDS as u64 * 2 - 1;
+        mem.write_u64(Addr::new(0x10_000 + stored * 8), 0xbeef);
+
+        assert!(mem.lines.is_empty(), "the store stays in the region");
+        let region = &mem.regions[0];
+        assert!(
+            Arc::ptr_eq(&region.shared, &shared),
+            "the region keeps the Arc"
+        );
+        assert_eq!(Arc::strong_count(&shared), 2, "no copy holds a reference");
+        let private: Vec<bool> = region.private.iter().map(Option::is_some).collect();
+        assert_eq!(
+            private,
+            [false, true, false],
+            "only the stored chunk is private"
+        );
+        for i in 0..words {
+            let want = if i == stored { 0xbeef } else { i * 3 + 1 };
+            assert_eq!(mem.read_u64(Addr::new(0x10_000 + i * 8)), want, "word {i}");
+            assert_eq!(shared[i as usize], i * 3 + 1, "the Arc is untouched");
+        }
+
+        // A store into the partial last chunk copies just its 40 words;
+        // the rest of the chunk stays zero.
+        mem.write_u8(Addr::new(0x10_000 + (words - 1) * 8), 0xcd);
+        let last = mem.regions[0].private[2].as_deref().expect("copied");
+        assert_eq!(last[..39], shared[2 * CHUNK_WORDS..2 * CHUNK_WORDS + 39]);
+        assert!(last[40..].iter().all(|&w| w == 0));
+        assert!(mem.lines.is_empty());
+        assert_eq!(
+            mem.read_u64(Addr::new(0x10_000 + (words - 1) * 8)) & 0xff,
+            0xcd
+        );
+        assert_eq!(shared[words as usize - 1], (words - 1) * 3 + 1);
     }
 
     #[test]

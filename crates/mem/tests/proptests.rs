@@ -12,6 +12,17 @@ use unxpec_mem::{Addr, LayoutBuilder, LineAddr, Memory, CACHE_LINE_BYTES};
 /// slots ops start in, plus room for the longest mapping past the last.
 const WINDOW_BYTES: u64 = 2048;
 
+/// Words per copy-on-write chunk of a mapped region.
+const CHUNK_WORDS: u64 = 512;
+
+/// Where the mapping property maps regions of two chunks and a partial
+/// third, clear of the window above.
+const FAR_BASE: u64 = 0x10_000;
+
+/// Words past `FAR_BASE` the property sweeps at the end: the longest
+/// far mapping plus the stores just past it.
+const FAR_WORDS: u64 = 3 * CHUNK_WORDS + 8;
+
 /// A region-free reference for [`Memory`]: every byte ever written, and
 /// the lines they touched.
 #[derive(Default)]
@@ -115,17 +126,22 @@ proptest! {
     /// one, whether it maps a region (line-aligned whole lines over
     /// fresh memory) or falls back (misaligned, partial lines, or
     /// overlapping earlier writes and regions). Stores into a mapped
-    /// region never reach the mapped `Arc`.
+    /// region never reach the mapped `Arc`, including word and byte
+    /// stores on either side of a 4 KiB chunk edge and into a region's
+    /// partial last chunk.
     #[test]
     fn mapped_words_read_back_like_written_words(
         ops in proptest::collection::vec(
-            (0u8..4, 0u64..192, any::<u64>(), 0usize..33),
+            (0u8..8, 0u64..192, any::<u64>(), 0usize..33),
             1..40,
         )
     ) {
         let mut mem = Memory::new();
         let mut model = ByteModel::default();
         let mut mapped: Vec<(Arc<[u64]>, Vec<u64>)> = Vec::new();
+        // Words in the latest far mapping, and the far words stored to.
+        let mut far_len = 2 * CHUNK_WORDS + 8;
+        let mut far_stored: Vec<u64> = Vec::new();
         for (kind, slot, value, len) in ops {
             match kind {
                 0 => {
@@ -137,7 +153,7 @@ proptest! {
                     mem.write_u64(Addr::new(slot * 8), value);
                     model.write_u64(slot * 8, value);
                 }
-                _ => {
+                2 | 3 => {
                     // Kind 2 maps whole lines at a line boundary; kind 3
                     // any word count at any word boundary.
                     let (base, count) = if kind == 2 {
@@ -155,6 +171,38 @@ proptest! {
                     }
                     mapped.push((shared, words));
                 }
+                4 => {
+                    // Two whole chunks and a partial third (8 to 264
+                    // words), over whatever the far area already holds.
+                    far_len = 2 * CHUNK_WORDS + 8 * (1 + len as u64);
+                    let words: Vec<u64> = (0..far_len).map(|i| value.rotate_left(i as u32) ^ i).collect();
+                    let shared: Arc<[u64]> = words.clone().into();
+                    mem.map_words(Addr::new(FAR_BASE), Arc::clone(&shared));
+                    for (i, &word) in words.iter().enumerate() {
+                        model.write_u64(FAR_BASE + i as u64 * 8, word);
+                    }
+                    mapped.push((shared, words));
+                }
+                _ => {
+                    // Kinds 5 to 7: a word or byte store within four
+                    // words of a chunk edge (either side), or of the far
+                    // mapping's end (its partial chunk).
+                    let edge = match slot % 4 {
+                        3 => far_len,
+                        k => (k + 1) * CHUNK_WORDS,
+                    };
+                    let word = edge + value % 8 - 4;
+                    let addr = FAR_BASE + word * 8;
+                    if value & 0x100 == 0 {
+                        mem.write_u64(Addr::new(addr), value);
+                        model.write_u64(addr, value);
+                    } else {
+                        let addr = addr + (value >> 9) % 8;
+                        mem.write_u8(Addr::new(addr), value as u8);
+                        model.write_u8(addr, value as u8);
+                    }
+                    far_stored.push(word);
+                }
             }
             for addr in (0..WINDOW_BYTES).step_by(8) {
                 prop_assert_eq!(mem.read_u64(Addr::new(addr)), model.read_u64(addr), "word at {:#x}", addr);
@@ -162,7 +210,16 @@ proptest! {
             for addr in 0..WINDOW_BYTES {
                 prop_assert_eq!(mem.read_u8(Addr::new(addr)), model.read_u8(addr), "byte at {:#x}", addr);
             }
+            for &word in &far_stored {
+                for w in word.saturating_sub(2)..word + 3 {
+                    let addr = FAR_BASE + w * 8;
+                    prop_assert_eq!(mem.read_u64(Addr::new(addr)), model.read_u64(addr), "word at {:#x}", addr);
+                }
+            }
             prop_assert_eq!(mem.resident_lines(), model.lines.len());
+        }
+        for addr in (FAR_BASE..FAR_BASE + FAR_WORDS * 8).step_by(8) {
+            prop_assert_eq!(mem.read_u64(Addr::new(addr)), model.read_u64(addr), "word at {:#x}", addr);
         }
         for (shared, words) in &mapped {
             prop_assert_eq!(&shared[..], &words[..]);
