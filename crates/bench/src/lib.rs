@@ -12,17 +12,9 @@ use unxpec::experiments::{
     scorecard, secret_pattern, table1, timeline, trace, triggers, votes, workload_profile, Scale,
 };
 
-/// Runs `f`, printing `name`, its rendered output and the wall time.
-pub fn timed<T: std::fmt::Display>(name: &str, f: impl FnOnce() -> T) -> T {
-    let mut out = String::new();
-    let result = timed_to(&mut out, name, f);
-    print!("{out}");
-    result
-}
-
-/// Buffered [`timed`]: appends the banner, rendered output, and wall
-/// time to `out` instead of stdout, so parallel experiment runs can
-/// print whole blocks in a deterministic order.
+/// Runs `f`, appending `name`'s banner, the rendered output and the
+/// wall time to `out` rather than stdout, so parallel experiment runs
+/// can print whole blocks in a deterministic order.
 pub fn timed_to<T: std::fmt::Display>(out: &mut String, name: &str, f: impl FnOnce() -> T) -> T {
     let _ = writeln!(out, "==== {name} ====");
     let start = Instant::now();
@@ -349,12 +341,6 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timed_returns_the_value() {
-        let v = timed("test", || 42);
-        assert_eq!(v, 42);
-    }
 
     #[test]
     fn timed_to_buffers_the_block() {

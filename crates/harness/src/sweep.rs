@@ -372,27 +372,15 @@ pub fn run_sweep(
     let self_profile = profiler.map(SelfProfiler::stop);
 
     // Reassemble results in enumeration order: resumed trials from the
-    // manifest, fresh trials from their pool slot. A completed trial
-    // whose output is limit-truncated (`RunResult::hit_limit`) is
-    // routed to the typed timed-out list rather than aggregated — it
-    // still checkpoints as completed (rerunning it would deterministically
-    // truncate again), but its numbers never enter a summary.
-    let mut fresh: std::collections::HashMap<&str, (TrialOutput, u32)> = Default::default();
-    let mut poisoned_fresh: std::collections::HashMap<&str, (String, u32)> = Default::default();
-    let mut timed_out_fresh: std::collections::HashMap<&str, (String, u32)> = Default::default();
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            TaskOutcome::Done { value, attempts } => {
-                fresh.insert(pending[i].key.as_str(), (value, attempts));
-            }
-            TaskOutcome::Poisoned { error, attempts } => {
-                poisoned_fresh.insert(pending[i].key.as_str(), (error, attempts));
-            }
-            TaskOutcome::TimedOut { error, attempts } => {
-                timed_out_fresh.insert(pending[i].key.as_str(), (error, attempts));
-            }
-        }
-    }
+    // manifest, fresh trials from their pool slot. `pending` is the
+    // subsequence of `trials` that is neither quarantined nor resumed,
+    // and the pool returns outcomes by task index, so one cursor over
+    // the outcomes follows the walk. A completed trial whose output is
+    // limit-truncated (`RunResult::hit_limit`) is routed to the typed
+    // timed-out list rather than aggregated — it still checkpoints as
+    // completed (rerunning it would deterministically truncate again),
+    // but its numbers never enter a summary.
+    let mut outcomes = outcomes.into_iter();
     let mut results = Vec::new();
     let mut poisoned = Vec::new();
     let mut timed_out: Vec<TimedOutTrial> = Vec::new();
@@ -404,13 +392,40 @@ pub fn run_sweep(
     let mut truncated_diag: std::collections::HashMap<String, Vec<String>> = Default::default();
     let truncation_error = "simulation truncated: run ended on its cycle/instruction limit \
                             (RunResult::hit_limit)";
-    let mut route_completed = |trial: &Trial,
-                               output: TrialOutput,
-                               digest: u64,
-                               attempts: u32,
-                               was_resumed: bool,
-                               results: &mut Vec<TrialResult>,
-                               timed_out: &mut Vec<TimedOutTrial>| {
+    for trial in &trials {
+        if is_quarantined(&trial.key) {
+            let (failures, error) = prior_failures
+                .get(trial.key.as_str())
+                .cloned()
+                .unwrap_or((opts.quarantine_after.max(1), String::new()));
+            quarantined.push(QuarantinedTrial {
+                key: trial.key.clone(),
+                error,
+                failures,
+            });
+            continue;
+        }
+        let (output, digest, attempts, was_resumed) =
+            if let Some(rec) = done.get(trial.key.as_str()) {
+                (rec.output.clone(), rec.digest, rec.attempts, true)
+            } else {
+                match outcomes.next().expect("one outcome per pending trial") {
+                    TaskOutcome::Done { value, attempts } => {
+                        let digest = output_digest(&value);
+                        (value, digest, attempts, false)
+                    }
+                    TaskOutcome::Poisoned { error, attempts } => {
+                        poisoned.push(failed(&trial.key, &error, attempts));
+                        continue;
+                    }
+                    TaskOutcome::TimedOut { error, attempts } => {
+                        let rec = failed(&trial.key, &error, attempts);
+                        pool_timed_out.push(rec.clone());
+                        timed_out.push(rec);
+                        continue;
+                    }
+                }
+            };
         completed_records.push(CompletedTrial {
             key: trial.key.clone(),
             digest,
@@ -433,46 +448,6 @@ pub fn run_sweep(
                 attempts,
                 resumed: was_resumed,
             });
-        }
-    };
-    for trial in &trials {
-        if is_quarantined(&trial.key) {
-            let (failures, error) = prior_failures
-                .get(trial.key.as_str())
-                .cloned()
-                .unwrap_or((opts.quarantine_after.max(1), String::new()));
-            quarantined.push(QuarantinedTrial {
-                key: trial.key.clone(),
-                error,
-                failures,
-            });
-        } else if let Some(rec) = done.get(trial.key.as_str()) {
-            route_completed(
-                trial,
-                rec.output.clone(),
-                rec.digest,
-                rec.attempts,
-                true,
-                &mut results,
-                &mut timed_out,
-            );
-        } else if let Some((output, attempts)) = fresh.remove(trial.key.as_str()) {
-            let digest = output_digest(&output);
-            route_completed(
-                trial,
-                output,
-                digest,
-                attempts,
-                false,
-                &mut results,
-                &mut timed_out,
-            );
-        } else if let Some((error, attempts)) = poisoned_fresh.remove(trial.key.as_str()) {
-            poisoned.push(failed(&trial.key, &error, attempts));
-        } else if let Some((error, attempts)) = timed_out_fresh.remove(trial.key.as_str()) {
-            let rec = failed(&trial.key, &error, attempts);
-            pool_timed_out.push(rec.clone());
-            timed_out.push(rec);
         }
     }
 

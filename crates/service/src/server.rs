@@ -225,7 +225,8 @@ impl JobEntry {
     }
 
     /// Appends the terminal-transition event for `slot` to the job's
-    /// replayable event ledger. Call *after* the slot is terminal.
+    /// replayable event ledger. Only [`SchedulerState::finish`] calls
+    /// it, after the slot is terminal.
     fn push_event(&mut self, slot: usize) {
         use unxpec_telemetry::json::escape;
         let seq = self.events.len();
@@ -375,20 +376,51 @@ impl SchedulerState {
         self.pending.remove(&ring);
     }
 
+    /// Makes slot `slot` of job `job` terminal: stores `to` (`Done`,
+    /// `Failed` or `Skipped`) and appends its event. A `Done` slot also
+    /// joins the completed-cell memo, and its `done` journal record is
+    /// returned. Every terminal transition goes through here, and the
+    /// caller journals the returned records before it releases the
+    /// state lock, so no reader sees a slot the journal lacks.
+    fn finish(&mut self, job: usize, slot: usize, to: Slot) -> Option<JournalRecord> {
+        debug_assert!(!matches!(to, Slot::Pending | Slot::Running));
+        let entry = &mut self.jobs[job];
+        entry.slots[slot] = to;
+        entry.push_event(slot);
+        if !matches!(entry.slots[slot], Slot::Done { .. }) {
+            return None;
+        }
+        let (num, cell) = (entry.num, entry.cells[slot]);
+        self.completed_cells.insert(cell, (job, slot));
+        Some(JournalRecord::CellDone {
+            job: num,
+            slot: slot as u64,
+            cell,
+        })
+    }
+
+    /// The output and digest of a completed slot for `cell`, if any
+    /// job holds one: the cross-job memo the tick and replay share.
+    fn memo(&self, cell: u64) -> Option<(TrialOutput, u64)> {
+        let &(job, slot) = self.completed_cells.get(&cell)?;
+        match &self.jobs[job].slots[slot] {
+            Slot::Done { output, digest, .. } => Some((output.clone(), *digest)),
+            _ => None,
+        }
+    }
+
     /// Marks job `idx` cancelled and its pending trials skipped, and
     /// drops it from `pending`. Returns the number skipped.
     fn cancel_job(&mut self, idx: usize) -> usize {
-        let entry = &mut self.jobs[idx];
-        entry.cancelled = true;
+        self.jobs[idx].cancelled = true;
         let mut skipped = 0;
-        for s in entry.cursor..entry.slots.len() {
-            if matches!(entry.slots[s], Slot::Pending) {
-                entry.slots[s] = Slot::Skipped;
-                entry.push_event(s);
+        for s in self.jobs[idx].cursor..self.jobs[idx].slots.len() {
+            if matches!(self.jobs[idx].slots[s], Slot::Pending) {
+                self.finish(idx, s, Slot::Skipped);
                 skipped += 1;
             }
         }
-        let ring = entry.ring;
+        let ring = self.jobs[idx].ring;
         if let Some(queue) = self.pending.get_mut(&ring) {
             queue.retain(|&j| j != idx);
             if queue.is_empty() {
@@ -526,27 +558,22 @@ impl Service {
                         dropped += 1;
                         continue;
                     }
-                    // Same resolution chain as the scheduler: earlier
-                    // replayed jobs first (memo), then the disk cache.
-                    let memo = st.completed_cells.get(cell).copied().and_then(|(j, s)| {
-                        match &st.jobs[j].slots[s] {
-                            Slot::Done { output, digest, .. } => Some((output.clone(), *digest)),
-                            _ => None,
-                        }
-                    });
-                    let resolved =
-                        memo.or_else(|| inner.cache.as_ref().and_then(|c| lock(c).get(*cell)));
+                    // Same sources as the scheduler: earlier replayed
+                    // jobs first (memo), then the disk cache.
+                    let resolved = st
+                        .memo(*cell)
+                        .or_else(|| inner.cache.as_ref().and_then(|c| lock(c).get(*cell)));
                     // A miss (evicted, corrupt, cacheless server)
                     // leaves the cell Pending and it re-runs —
-                    // correctness over thrift.
+                    // correctness over thrift. The cell's record is
+                    // already in the journal: drop `finish`'s copy.
                     if let Some((output, digest)) = resolved {
-                        st.jobs[idx].slots[slot] = Slot::Done {
+                        let to = Slot::Done {
                             output,
                             digest,
                             cached: true,
                         };
-                        st.completed_cells.insert(*cell, (idx, slot));
-                        st.jobs[idx].push_event(slot);
+                        st.finish(idx, slot, to);
                         replayed += 1;
                     }
                 }
@@ -962,6 +989,18 @@ impl Inner {
         });
     }
 
+    /// Appends the `done` records of the slots a lock hold made
+    /// terminal. Taking the held state keeps the documented lock order
+    /// (state → journal) and means the records are on file before any
+    /// reader can see those slots. Best-effort: a failed append costs a
+    /// re-run after restart (which the cache then absorbs), never
+    /// correctness.
+    fn journal_done(inner: &Inner, _held: &SchedulerState, records: &[JournalRecord]) {
+        if let Some(journal) = &inner.journal {
+            let _ = lock(journal).append_all(records);
+        }
+    }
+
     /// One scheduling pass. See [`Service::tick`].
     fn tick(inner: &Arc<Inner>) -> usize {
         let mut st = lock(&inner.state);
@@ -983,9 +1022,7 @@ impl Inner {
         let mut cache_hits = 0u64;
         let mut memo_hits = 0u64;
         let mut quarantine_drops = 0u64;
-        // Completed cells to journal this tick (job num, slot, cell).
-        // Appended after the state lock drops; the Submit record always
-        // precedes them because `submit` journals synchronously.
+        // `done` records of the slots this lock hold makes terminal.
         let mut journal_done: Vec<JournalRecord> = Vec::new();
 
         loop {
@@ -1024,65 +1061,39 @@ impl Inner {
                 // disk cache, so an in-batch duplicate never records a
                 // spurious cache miss), then the disk cache, then the
                 // cross-job completed-cell memo, then the pool.
-                let memo_done = if st.quarantined.contains(&cell) || inflight.contains(&cell) {
-                    None
-                } else {
-                    st.completed_cells.get(&cell).copied().and_then(|(j, s)| {
-                        match &st.jobs[j].slots[s] {
-                            Slot::Done { output, digest, .. } => Some((output.clone(), *digest)),
-                            _ => None,
-                        }
-                    })
-                };
-                if st.quarantined.contains(&cell) {
-                    st.jobs[job_idx].slots[slot_idx] = Slot::Failed {
+                let terminal = if st.quarantined.contains(&cell) {
+                    quarantine_drops += 1;
+                    Some(Slot::Failed {
                         kind: "quarantined",
                         error: "cell quarantined after repeated failures".to_string(),
                         attempts: 0,
-                    };
-                    st.jobs[job_idx].push_event(slot_idx);
-                    resolved += 1;
-                    quarantine_drops += 1;
+                    })
                 } else if inflight.contains(&cell) {
                     // Same cell already executing in this batch: share
                     // the leader's output instead of re-running it.
                     st.jobs[job_idx].slots[slot_idx] = Slot::Running;
                     waiters.entry(cell).or_default().push((job_idx, slot_idx));
+                    None
                 } else if let Some((output, digest)) =
                     inner.cache.as_ref().and_then(|c| lock(c).get(cell))
                 {
-                    st.completed_cells.insert(cell, (job_idx, slot_idx));
-                    st.jobs[job_idx].slots[slot_idx] = Slot::Done {
+                    cache_hits += 1;
+                    Some(Slot::Done {
                         output,
                         digest,
                         cached: true,
-                    };
-                    st.jobs[job_idx].push_event(slot_idx);
-                    journal_done.push(JournalRecord::CellDone {
-                        job: st.jobs[job_idx].num,
-                        slot: slot_idx as u64,
-                        cell,
-                    });
-                    resolved += 1;
-                    cache_hits += 1;
-                } else if let Some((output, digest)) = memo_done {
+                    })
+                } else if let Some((output, digest)) = st.memo(cell) {
                     // A previous job already computed this cell and the
                     // disk cache no longer has it (cacheless server or
                     // evicted entry): subscribe to that result instead
                     // of re-simulating.
-                    st.jobs[job_idx].slots[slot_idx] = Slot::Done {
+                    memo_hits += 1;
+                    Some(Slot::Done {
                         output,
                         digest,
                         cached: true,
-                    };
-                    st.jobs[job_idx].push_event(slot_idx);
-                    journal_done.push(JournalRecord::CellDone {
-                        job: st.jobs[job_idx].num,
-                        slot: slot_idx as u64,
-                        cell,
-                    });
-                    resolved += 1;
-                    memo_hits += 1;
+                    })
                 } else {
                     let entry = &mut st.jobs[job_idx];
                     entry.slots[slot_idx] = Slot::Running;
@@ -1109,6 +1120,11 @@ impl Inner {
                             queued_us,
                         );
                     }
+                    None
+                };
+                if let Some(to) = terminal {
+                    journal_done.extend(st.finish(job_idx, slot_idx, to));
+                    resolved += 1;
                 }
                 st.settle(ring);
                 // This tenant consumed the turn either way; the next
@@ -1124,11 +1140,11 @@ impl Inner {
                 break;
             }
         }
-        drop(st);
+        Self::journal_done(inner, &st, &journal_done);
 
-        let mut puts: Vec<(u64, DigestedOutput)> = Vec::new();
         let executed = batch.len();
         if executed > 0 {
+            drop(st);
             let policy = RunPolicy {
                 retries: inner.config.retries,
                 deadline: (inner.config.deadline_ms > 0)
@@ -1155,105 +1171,94 @@ impl Inner {
                 |_event| {},
             );
 
-            let mut st = lock(&inner.state);
-            let mut coalesced = 0u64;
+            // Each outcome becomes the leader's terminal slot. Fresh
+            // outputs go to the cache first, outside the state lock,
+            // so every `done` record below points at a stored entry.
             let mut poisoned = 0u64;
             let mut timed_out = 0u64;
-            for (index, outcome) in outcomes.into_iter().enumerate() {
-                let item = &batch[index];
-                let fan_out = waiters.remove(&item.cell).unwrap_or_default();
-                match outcome {
+            let mut puts: Vec<(u64, DigestedOutput)> = Vec::new();
+            let slots: Vec<Slot> = batch
+                .iter()
+                .zip(outcomes)
+                .map(|(item, outcome)| match outcome {
                     TaskOutcome::Done {
-                        value: Ok(output),
-                        attempts: _,
+                        value: Ok(output), ..
                     } => {
                         let fresh = DigestedOutput::new(output);
-                        let digest = fresh.digest();
-                        st.cell_failures.remove(&item.cell);
-                        for &(job_idx, slot_idx) in &fan_out {
-                            st.jobs[job_idx].slots[slot_idx] = Slot::Done {
-                                output: fresh.output().clone(),
-                                digest,
-                                cached: true,
-                            };
-                            st.jobs[job_idx].push_event(slot_idx);
-                            journal_done.push(JournalRecord::CellDone {
-                                job: st.jobs[job_idx].num,
-                                slot: slot_idx as u64,
-                                cell: item.cell,
-                            });
-                            coalesced += 1;
-                        }
-                        st.completed_cells.insert(item.cell, (item.job, item.slot));
-                        st.jobs[item.job].slots[item.slot] = Slot::Done {
+                        let to = Slot::Done {
                             output: fresh.output().clone(),
-                            digest,
+                            digest: fresh.digest(),
                             cached: false,
                         };
                         puts.push((item.cell, fresh));
-                        st.jobs[item.job].push_event(item.slot);
-                        journal_done.push(JournalRecord::CellDone {
-                            job: st.jobs[item.job].num,
-                            slot: item.slot as u64,
-                            cell: item.cell,
-                        });
+                        to
                     }
                     TaskOutcome::Done {
                         value: Err(error), ..
-                    } => {
-                        for &(job_idx, slot_idx) in &fan_out {
-                            st.jobs[job_idx].slots[slot_idx] = Slot::Failed {
-                                kind: "spec",
-                                error: error.clone(),
-                                attempts: 1,
-                            };
-                            st.jobs[job_idx].push_event(slot_idx);
-                        }
-                        st.jobs[item.job].slots[item.slot] = Slot::Failed {
-                            kind: "spec",
-                            error,
-                            attempts: 1,
-                        };
-                        st.jobs[item.job].push_event(item.slot);
-                    }
+                    } => Slot::Failed {
+                        kind: "spec",
+                        error,
+                        attempts: 1,
+                    },
                     TaskOutcome::Poisoned { error, attempts } => {
                         poisoned += 1;
-                        Self::record_failure(&mut st, inner, item.cell);
-                        for &(job_idx, slot_idx) in &fan_out {
-                            st.jobs[job_idx].slots[slot_idx] = Slot::Failed {
-                                kind: "poisoned",
-                                error: error.clone(),
-                                attempts,
-                            };
-                            st.jobs[job_idx].push_event(slot_idx);
-                        }
-                        st.jobs[item.job].slots[item.slot] = Slot::Failed {
+                        Slot::Failed {
                             kind: "poisoned",
                             error,
                             attempts,
-                        };
-                        st.jobs[item.job].push_event(item.slot);
+                        }
                     }
                     TaskOutcome::TimedOut { error, attempts } => {
                         timed_out += 1;
-                        Self::record_failure(&mut st, inner, item.cell);
-                        for &(job_idx, slot_idx) in &fan_out {
-                            st.jobs[job_idx].slots[slot_idx] = Slot::Failed {
-                                kind: "timed-out",
-                                error: error.clone(),
-                                attempts,
-                            };
-                            st.jobs[job_idx].push_event(slot_idx);
-                        }
-                        st.jobs[item.job].slots[item.slot] = Slot::Failed {
+                        Slot::Failed {
                             kind: "timed-out",
                             error,
                             attempts,
-                        };
-                        st.jobs[item.job].push_event(item.slot);
+                        }
                     }
+                })
+                .collect();
+            if let Some(cache) = &inner.cache {
+                let mut guard = lock(cache);
+                for (cell, fresh) in &puts {
+                    let _ = guard.put(*cell, fresh);
                 }
             }
+
+            st = lock(&inner.state);
+            let mut coalesced = 0u64;
+            journal_done.clear();
+            for (item, to) in batch.iter().zip(slots) {
+                match &to {
+                    Slot::Done { .. } => {
+                        st.cell_failures.remove(&item.cell);
+                    }
+                    // Poisonings and timeouts count toward quarantine.
+                    Slot::Failed { kind, .. } if *kind != "spec" => {
+                        Self::record_failure(&mut st, inner, item.cell);
+                    }
+                    _ => {}
+                }
+                // Fan-out waiters share the leader's slot (an output
+                // counts as cached for them) and go first, then the
+                // leader: the event and journal order is pinned.
+                for (job, slot) in waiters.remove(&item.cell).unwrap_or_default() {
+                    let shared = match &to {
+                        Slot::Done { output, digest, .. } => {
+                            coalesced += 1;
+                            Slot::Done {
+                                output: output.clone(),
+                                digest: *digest,
+                                cached: true,
+                            }
+                        }
+                        failed => failed.clone(),
+                    };
+                    journal_done.extend(st.finish(job, slot, shared));
+                }
+                journal_done.extend(st.finish(item.job, item.slot, to));
+            }
+            Self::journal_done(inner, &st, &journal_done);
             if let Some(hub) = &inner.config.hub {
                 hub.update(|m| {
                     m.inc("service.trials.executed", executed as u64);
@@ -1262,26 +1267,6 @@ impl Inner {
                     m.inc("service.trials.timed_out", timed_out);
                 });
             }
-            drop(st);
-        }
-
-        // Persist fresh outputs outside the state lock (lock order is
-        // always state → cache, never both held across the pool run).
-        if let Some(cache) = &inner.cache {
-            let mut guard = lock(cache);
-            for (cell, fresh) in &puts {
-                let _ = guard.put(*cell, fresh);
-            }
-        }
-
-        // Journal completions after the cache put: a CellDone record
-        // promises the output is resolvable on replay, so it must not
-        // land before the cache entry it points at. The tick's records
-        // go out in one write. Appends are best-effort — a failed
-        // append costs a re-run after restart (which the cache then
-        // absorbs), never correctness.
-        if let Some(journal) = &inner.journal {
-            let _ = lock(journal).append_all(&journal_done);
         }
 
         // Completion bookkeeping: count each job's terminal transition
@@ -1289,7 +1274,6 @@ impl Inner {
         let mut completed_jobs = 0u64;
         let mut failed_jobs = 0u64;
         {
-            let mut st = lock(&inner.state);
             let st = &mut *st;
             st.uncounted.retain(|&i| {
                 let entry = &st.jobs[i];
@@ -1304,22 +1288,21 @@ impl Inner {
                 false
             });
         }
-        if completed_jobs + failed_jobs > 0 {
-            if let Some(hub) = &inner.config.hub {
-                hub.update(|m| {
+        drop(st);
+        let finished_jobs = completed_jobs + failed_jobs > 0;
+        if let Some(hub) = &inner.config.hub {
+            hub.update(|m| {
+                if finished_jobs {
                     m.inc("service.jobs.completed", completed_jobs);
                     m.inc("service.jobs.failed", failed_jobs);
-                });
-            }
-            inner.done.notify_all();
-        }
-        if let Some(hub) = &inner.config.hub {
-            hub.inc("service.trials.cached", cache_hits);
-            hub.inc("service.trials.memoized", memo_hits);
-            hub.inc("service.trials.quarantined", quarantine_drops);
+                }
+                m.inc("service.trials.cached", cache_hits);
+                m.inc("service.trials.memoized", memo_hits);
+                m.inc("service.trials.quarantined", quarantine_drops);
+            });
         }
         Self::publish_cache_stats(inner);
-        if resolved > 0 {
+        if resolved > 0 || finished_jobs {
             inner.done.notify_all();
         }
         resolved + executed
@@ -1336,10 +1319,11 @@ impl Inner {
 }
 
 /// Renders the deterministic result document for a finished job: trial
-/// keys, output digests, metrics, and seed-axis aggregates, in
-/// enumeration order. Contains *only* values that are pure functions
-/// of the spec — no timings, no cache provenance — which is what makes
-/// a cache-served rerun byte-identical to the cold run.
+/// keys, output digests, metrics, and seed-axis aggregates over the
+/// untruncated outputs, in enumeration order. Contains *only* values
+/// that are pure functions of the spec — no timings, no cache
+/// provenance — which is what makes a cache-served rerun
+/// byte-identical to the cold run.
 fn render_results(entry: &JobEntry) -> String {
     let mut out = String::new();
     out.push_str("# unxpec service results v1\n");
@@ -1359,6 +1343,11 @@ fn render_results(entry: &JobEntry) -> String {
                 out.push('\n');
                 for (name, value) in &output.metrics {
                     out.push_str(&format!("  metric {name} {value}\n"));
+                }
+                // A truncated number is not a measurement: as in
+                // `run_sweep`, it stays out of the aggregates.
+                if output.truncated {
+                    continue;
                 }
                 completed.push(TrialResult {
                     trial: trial.clone(),

@@ -530,6 +530,42 @@ fn cancel_skips_pending_trials_and_results_reflect_it() {
     );
 }
 
+#[test]
+fn truncated_trials_keep_their_lines_but_leave_the_aggregates() {
+    let mut registry = Registry::new();
+    registry.register(FnExperiment::new("cut", &["hit", "clean"], |ctx| {
+        TrialOutput::new(
+            format!("seed {:#x}", ctx.seed),
+            vec![("m", (ctx.seed % 7) as f64)],
+        )
+        .with_truncated(ctx.variant == "hit")
+    }));
+    let service = Service::new(
+        registry,
+        ServiceConfig {
+            jobs: 2,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service");
+    let (job, _) = service
+        .submit("alice", "experiments = cut\nseeds = 2\nroot-seed = 0x5eed")
+        .expect("submit");
+    drive(&service);
+    let text = service.results(&job).expect("results");
+    for seed in 0..2 {
+        let hit = format!("trial cut/hit/s{seed} digest ");
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&hit))
+            .expect("hit line");
+        assert!(line.ends_with(" truncated"), "{text}");
+    }
+    assert_eq!(text.matches("  metric m ").count(), 4, "{text}");
+    assert!(!text.contains("aggregate cut hit "), "{text}");
+    assert!(text.contains("aggregate cut clean m "), "{text}");
+}
+
 // ---------------------------------------------------------------------------
 // Pinned dispatch order: the exact ring walk of `Service::tick`
 // ---------------------------------------------------------------------------
@@ -938,6 +974,55 @@ fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
     assert!(service.status("j2").expect("status").finished());
     assert!(service.status("j3").expect("status").finished());
     assert_eq!(counter.load(Ordering::SeqCst), 16);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_finished_job_is_fully_journaled_before_status_shows_it() {
+    let dir = tmpdir("journal-visibility");
+    let journal = dir.join("journal.log");
+    let mut service = Service::new(
+        counting_registry(Arc::new(AtomicUsize::new(0))),
+        ServiceConfig {
+            jobs: 2,
+            cache: Some(CacheConfig {
+                dir: dir.join("cache"),
+                max_bytes: 0,
+            }),
+            journal: Some(journal.clone()),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service");
+    service.start_worker();
+
+    // Pairs of jobs over one spec: alice's cells are fresh (pool runs
+    // and cache puts), bob's are cache hits. Neither may show finished
+    // while any of its `done` records is still missing from the file.
+    for i in 0..500u64 {
+        let spec = format!(
+            "experiments = count\nseeds = 2\nroot-seed = {:#x}",
+            0x1000 + i / 2
+        );
+        let tenant = if i % 2 == 0 { "alice" } else { "bob" };
+        // The job's records all land after this offset.
+        let start = std::fs::metadata(&journal).map_or(0, |m| m.len() as usize);
+        let (job, trials) = service.submit(tenant, &spec).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !service.status(&job).expect("status").finished() {
+            assert!(Instant::now() < deadline, "{job} never finished");
+            std::thread::yield_now();
+        }
+        let num: u64 = job[1..].parse().expect("job number");
+        let text = std::fs::read_to_string(&journal).expect("read journal");
+        let done = Journal::salvage(&text[start..])
+            .records
+            .iter()
+            .filter(|r| matches!(r, JournalRecord::CellDone { job, .. } if *job == num))
+            .count();
+        assert_eq!(done, trials, "{job} showed finished before its journal");
+    }
+    service.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
