@@ -4,7 +4,7 @@
 //! ```text
 //! sweep [--experiments a,b,..] [--variants x,y] [--scale quick|paper]
 //!       [--seeds N] [--root-seed S] [--spec <file>]
-//!       [--jobs N] [--retries N] [--manifest <file>]
+//!       [--jobs N] [--retries N] [--state-dir <dir>]
 //!       [--deadline-ms N] [--backoff-ms N] [--quarantine-after N]
 //!       [--diagnostics-dir <dir>] [--serve-metrics ADDR]
 //!       [--self-profile-ms N] [--profile-out <file>]
@@ -16,12 +16,17 @@
 //! override) define *what* runs; the remaining flags only change
 //! *how*. Per-trial seeds derive from the root seed and the trial's
 //! identity, so any `--jobs` value produces the same aggregates and
-//! the same aggregate digest. With `--manifest`, each finished trial
-//! appends one checksummed line to the manifest log; rerunning the
-//! same spec against the same manifest skips completed trials.
+//! the same aggregate digest. The sweep runs in process on the service
+//! scheduler (`unxpec_service::run_sweep`). With `--state-dir`, that
+//! scheduler keeps its job journal (`journal.log`) and its result
+//! cache (`cache/`) there: each finished trial is cached and
+//! journaled, and rerunning against the same directory serves every
+//! finished trial from it, reusing shared cells even when the spec
+//! grew or changed. `serve --cache-dir <dir>/cache` serves the same
+//! cells to remote clients.
 //! `--deadline-ms` turns slow trials into typed timeouts,
 //! `--backoff-ms` paces panic retries, `--quarantine-after` benches
-//! keys that keep failing across resumes, and `--diagnostics-dir`
+//! cells that keep failing across resumes, and `--diagnostics-dir`
 //! writes one reproduction bundle per failing trial (see
 //! `docs/fault_injection.md`). `--trace-out` writes
 //! per-trial wall-clock spans as Chrome/Perfetto trace JSON (one track
@@ -42,9 +47,8 @@ use std::path::PathBuf;
 
 use unxpec::experiments::Scale;
 use unxpec::telemetry::{MetricsHub, MetricsServer};
-use unxpec_harness::{
-    default_jobs, run_sweep, spec::parse_seed, Registry, SweepOptions, SweepSpec,
-};
+use unxpec_harness::{default_jobs, spec::parse_seed, Registry, SweepOptions, SweepSpec};
+use unxpec_service::run_sweep;
 
 fn main() {
     let registry = Registry::builtin();
@@ -146,7 +150,7 @@ fn main() {
                 });
             }
             "--diagnostics-dir" => opts.diagnostics_dir = Some(PathBuf::from(value)),
-            "--manifest" => opts.manifest = Some(PathBuf::from(value)),
+            "--state-dir" => opts.state_dir = Some(PathBuf::from(value)),
             "--serve-metrics" => serve_metrics = Some(value),
             "--self-profile-ms" => {
                 let ms: u64 = value.parse().unwrap_or_else(|_| {
@@ -188,7 +192,7 @@ fn main() {
         }
     }
 
-    let report = match run_sweep(&spec, &registry, &opts) {
+    let report = match run_sweep(&spec, registry, &opts) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("sweep failed: {e}");

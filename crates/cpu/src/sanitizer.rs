@@ -119,7 +119,7 @@ impl InvariantViolation {
         }
     }
 
-    /// Short snake_case name (manifest and diagnostics keys).
+    /// Short snake_case name (trial output and diagnostics keys).
     pub fn name(&self) -> &'static str {
         match self {
             InvariantViolation::OccupancyMismatch { .. } => "occupancy_mismatch",

@@ -1,8 +1,8 @@
 //! Canonical, versioned per-cell digests — the content-address every
 //! cached trial result is stored under.
 //!
-//! The checkpoint manifest's spec digest ([`SweepSpec::digest`]) only
-//! has to distinguish *specs*; the result cache in `unxpec-service`
+//! The spec digest ([`SweepSpec::digest`]) only has to distinguish
+//! *specs*; the result cache in `unxpec-service`
 //! needs a stable address for every *cell* of the sweep grid, valid
 //! across processes, machines, and releases. [`cell_digest`] covers
 //! exactly the inputs that determine a trial's output — experiment,
@@ -61,7 +61,7 @@ pub fn canonical_digest<'a>(fields: impl IntoIterator<Item = (&'a str, String)>)
 
 /// The stable content address of one trial cell: everything that
 /// determines the trial's output, and nothing that doesn't (worker
-/// count, retries, manifest paths, and the spec's *selection* axes all
+/// count, retries, state paths, and the spec's *selection* axes all
 /// stay out).
 pub fn cell_digest(spec: &SweepSpec, experiment: &str, variant: &str, seed_index: u64) -> u64 {
     canonical_digest([

@@ -1,9 +1,9 @@
 //! Durable files: checksummed JSON-line records, lenient salvage,
 //! append + flush, and atomic replace.
 //!
-//! Three files persist through this one module: the sweep
-//! [`manifest`](crate::manifest), the service's job journal and the
-//! service's result-cache entries. Each format supplies only a
+//! Every file the trial scheduler persists goes through this one
+//! module: the service's job journal, its result-cache entries and the
+//! cells' failure records beside them. Each format supplies only a
 //! [`Record`] impl — its field checksum, its render and its parse —
 //! and inherits the rest:
 //!

@@ -1,5 +1,5 @@
-//! The [`Experiment`] trait the sweep runner drives, and the trial
-//! input/output types shared with the manifest.
+//! The [`Experiment`] trait the trial scheduler drives, and the trial
+//! input/output types shared with the service's result cache.
 
 use unxpec::experiments::seeding::Fnv64;
 use unxpec::experiments::Scale;
@@ -66,7 +66,7 @@ impl TrialOutput {
 }
 
 /// FNV-1a digest over a trial's rendered output and metric bits — the
-/// value the manifest records and the parallel-equals-serial tests
+/// value the result cache records and the parallel-equals-serial tests
 /// compare. The `truncated` flag is mixed in only when set, so every
 /// digest recorded before the flag existed is unchanged.
 pub fn output_digest(out: &TrialOutput) -> u64 {

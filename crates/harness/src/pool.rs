@@ -104,14 +104,6 @@ impl Default for RunPolicy {
 }
 
 impl RunPolicy {
-    /// A policy that only retries, like the classic `run_tasks` call.
-    pub fn with_retries(retries: u32) -> Self {
-        RunPolicy {
-            retries,
-            ..RunPolicy::default()
-        }
-    }
-
     /// The pause before retry number `attempt` (1-based attempt that
     /// just failed): `backoff_base << (attempt - 1)`, capped.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
@@ -310,44 +302,18 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().expect("pool lock poisoned")
 }
 
-/// Runs `n_tasks` tasks on `jobs` workers and returns their outcomes
-/// indexed by task index, plus per-task timings (in completion order)
-/// and the pool counters.
+/// Runs `n_tasks` tasks on `jobs` workers under `policy` and returns
+/// their outcomes indexed by task index, plus per-task timings (in
+/// start order) and the pool counters.
 ///
 /// `task(i)` computes task `i`; it must be safe to call again after a
-/// panic (the retry path reinvokes it). `on_done(i, &outcome)` fires
-/// on the worker thread as each task finishes — the sweep uses it to
-/// checkpoint the manifest incrementally. With `jobs <= 1` everything
-/// runs inline on the caller thread in index order, which is the
-/// serial baseline the determinism tests compare against.
-pub fn run_tasks<T, F, C>(
-    jobs: usize,
-    n_tasks: usize,
-    retries: u32,
-    task: F,
-    on_done: C,
-) -> (Vec<TaskOutcome<T>>, Vec<TaskTiming>, PoolStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: Fn(usize, &TaskOutcome<T>) + Sync,
-{
-    run_tasks_with(
-        jobs,
-        n_tasks,
-        &RunPolicy::with_retries(retries),
-        task,
-        |event| {
-            if let TaskEvent::Finished { index, outcome, .. } = event {
-                on_done(index, outcome);
-            }
-        },
-    )
-}
-
-/// [`run_tasks`] with a full [`RunPolicy`] (deadline and backoff in
-/// addition to the retry budget) and the full [`TaskEvent`] lifecycle
-/// callback instead of the completion-only shorthand.
+/// panic (the retry path reinvokes it). `on_event` receives each
+/// task's [`TaskEvent`] lifecycle on the worker thread that runs it —
+/// the service scheduler hands these to its batch observer, which is
+/// how the in-process sweep streams live progress and samples the
+/// self-profiler. With `jobs <= 1` everything runs inline on the
+/// caller thread in index order, which is the serial baseline the
+/// determinism tests compare against.
 pub fn run_tasks_with<T, F, C>(
     jobs: usize,
     n_tasks: usize,
@@ -497,7 +463,8 @@ mod tests {
     #[test]
     fn results_are_indexed_by_task_not_by_completion_order() {
         for jobs in [1, 4] {
-            let (outcomes, timings, stats) = run_tasks(jobs, 32, 0, |i| i * i, |_, _| {});
+            let (outcomes, timings, stats) =
+                run_tasks_with(jobs, 32, &RunPolicy::default(), |i| i * i, |_| {});
             assert_eq!(outcomes.len(), 32);
             for (i, o) in outcomes.iter().enumerate() {
                 match o {
@@ -517,10 +484,14 @@ mod tests {
     #[test]
     fn panics_are_contained_and_retried() {
         let attempts_seen = AtomicUsize::new(0);
-        let (outcomes, _, stats) = run_tasks(
+        let policy = RunPolicy {
+            retries: 2,
+            ..RunPolicy::default()
+        };
+        let (outcomes, _, stats) = run_tasks_with(
             2,
             4,
-            2,
+            &policy,
             |i| {
                 if i == 3 {
                     attempts_seen.fetch_add(1, Ordering::Relaxed);
@@ -528,7 +499,7 @@ mod tests {
                 }
                 i
             },
-            |_, _| {},
+            |_| {},
         );
         match &outcomes[3] {
             TaskOutcome::Poisoned { error, attempts } => {
@@ -548,17 +519,21 @@ mod tests {
     #[test]
     fn a_flaky_task_succeeds_within_the_retry_budget() {
         let tries = AtomicUsize::new(0);
-        let (outcomes, _, _) = run_tasks(
+        let policy = RunPolicy {
+            retries: 3,
+            ..RunPolicy::default()
+        };
+        let (outcomes, _, _) = run_tasks_with(
             1,
             1,
-            3,
+            &policy,
             |_| {
                 if tries.fetch_add(1, Ordering::Relaxed) < 2 {
                     panic!("transient");
                 }
                 7u64
             },
-            |_, _| {},
+            |_| {},
         );
         assert!(matches!(
             outcomes[0],
@@ -570,15 +545,17 @@ mod tests {
     }
 
     #[test]
-    fn on_done_fires_once_per_task() {
+    fn finished_fires_once_per_task() {
         let fired = AtomicUsize::new(0);
-        let (_, _, _) = run_tasks(
+        let (_, _, _) = run_tasks_with(
             3,
             10,
-            0,
+            &RunPolicy::default(),
             |i| i,
-            |_, _| {
-                fired.fetch_add(1, Ordering::Relaxed);
+            |event| {
+                if let TaskEvent::Finished { .. } = event {
+                    fired.fetch_add(1, Ordering::Relaxed);
+                }
             },
         );
         assert_eq!(fired.load(Ordering::Relaxed), 10);
@@ -622,14 +599,14 @@ mod tests {
 
     #[test]
     fn more_jobs_than_tasks_is_fine() {
-        let (outcomes, _, stats) = run_tasks(16, 2, 0, |i| i, |_, _| {});
+        let (outcomes, _, stats) = run_tasks_with(16, 2, &RunPolicy::default(), |i| i, |_| {});
         assert_eq!(outcomes.len(), 2);
         assert!(stats.jobs <= 2);
     }
 
     #[test]
     fn utilization_is_bounded() {
-        let (_, _, stats) = run_tasks(2, 8, 0, |i| i * 3, |_, _| {});
+        let (_, _, stats) = run_tasks_with(2, 8, &RunPolicy::default(), |i| i * 3, |_| {});
         let u = stats.utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u}");
     }

@@ -22,7 +22,7 @@ pub struct SweepSpec {
     pub experiments: Vec<String>,
     /// Variant filter; `None` runs every variant an experiment offers.
     pub variants: Option<Vec<String>>,
-    /// Scale label recorded in the manifest (`"quick"`, `"paper"`, …).
+    /// Scale label the spec text names (`"quick"` or `"paper"`).
     pub scale_name: String,
     /// The sample counts trials run at.
     pub scale: Scale,
@@ -106,7 +106,7 @@ impl SweepSpec {
         }
     }
 
-    /// The canonical identity string the manifest digests: exactly the
+    /// The canonical identity string the spec digest covers: exactly the
     /// inputs that determine what any single trial key computes — the
     /// scale's five sample counts and the root seed. Selection axes
     /// (experiments, variants, seed count) are *not* identity: trial
@@ -171,6 +171,29 @@ impl SweepSpec {
             }
         }
         Ok(trials)
+    }
+
+    /// The spec as the `key=value` text [`SweepSpec::parse`] reads:
+    /// what the sweep submits to the service and the service journals.
+    /// A spec the text cannot carry (a hand-built scale, a name with a
+    /// comma or a line break in it) is a [`SpecError::Parse`] naming
+    /// the text, never a silently different spec.
+    pub fn render(&self) -> Result<String, SpecError> {
+        let mut text = String::new();
+        if !self.experiments.is_empty() {
+            text.push_str(&format!("experiments={}\n", self.experiments.join(",")));
+        }
+        if let Some(variants) = &self.variants {
+            text.push_str(&format!("variants={}\n", variants.join(",")));
+        }
+        text.push_str(&format!(
+            "scale={}\nseeds={}\nroot-seed={:#x}\n",
+            self.scale_name, self.seeds, self.root_seed
+        ));
+        match SweepSpec::parse(&text) {
+            Ok(parsed) if parsed == *self => Ok(text),
+            _ => Err(SpecError::Parse(text)),
+        }
     }
 
     /// Parses a spec file: one `key=value` per line, `#` comments.
@@ -296,8 +319,8 @@ mod tests {
     fn digest_tracks_identity_fields_only() {
         let a = SweepSpec::quick();
         let mut b = SweepSpec::quick();
-        // Selection axes are not identity: growing the grid must keep
-        // an existing manifest valid.
+        // Selection axes are not identity: growing the grid keeps the
+        // spec digest.
         b.seeds += 10;
         b.experiments = vec!["rollback".into()];
         b.variants = Some(vec!["es".into()]);
@@ -311,8 +334,9 @@ mod tests {
 
     #[test]
     fn canonical_string_is_pinned() {
-        // Every checkpoint manifest ever written digests this string;
-        // it must not grow a field without invalidating them on purpose.
+        // Every submission digest the journal re-attaches by covers this
+        // string; it must not grow a field without invalidating them on
+        // purpose.
         assert_eq!(
             SweepSpec::quick().canonical_string(),
             "scale=10,60,60,5000,15000;root-seed=0x5eed"
@@ -344,5 +368,26 @@ mod tests {
         assert_eq!(spec.root_seed, 0x5eed);
         assert!(SweepSpec::parse("bogus line").is_err());
         assert!(SweepSpec::parse("scale=huge").is_err());
+    }
+
+    #[test]
+    fn rendered_text_round_trips_through_parse() {
+        let mut quick = SweepSpec::quick();
+        quick.experiments = vec!["rollback".into(), "pdf".into()];
+        let mut paper = SweepSpec::paper();
+        paper.variants = Some(vec!["es".into(), "plain".into()]);
+        paper.root_seed = 0xdead_beef_0123_4567;
+        paper.seeds = 9;
+        for spec in [SweepSpec::quick(), quick, paper] {
+            let text = spec.render().unwrap();
+            assert_eq!(SweepSpec::parse(&text), Ok(spec), "{text}");
+        }
+        // A scale the text cannot name is refused, not rewritten.
+        let mut custom = SweepSpec::quick();
+        custom.scale.pdf_samples += 1;
+        assert!(matches!(custom.render(), Err(SpecError::Parse(_))));
+        let mut comma = SweepSpec::quick();
+        comma.experiments = vec!["a,b".into()];
+        assert!(comma.render().is_err());
     }
 }

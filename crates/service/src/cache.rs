@@ -34,12 +34,21 @@
 //!   is treated as corrupt and deleted rather than silently indexed
 //!   at size 0 (which would let the byte bound be exceeded).
 //!
+//! * **Failure counts** — a cell whose last run failed (poisoned or
+//!   timed out) keeps its consecutive-failure count and last error in
+//!   a `<key as 016x>.failures` record beside where its entry would
+//!   live, written through [`durable::replace`] and deleted when the
+//!   cell's output is stored. [`ResultCache::open`] loads these
+//!   records for the scheduler's quarantine, outside the entry index
+//!   and the byte bound; a damaged one is deleted, not counted as a
+//!   corrupt entry.
+//!
 //! Diagnostics lines are *not* cached: they describe how a particular
 //! execution ran (fault schedules, telemetry tails), not what the cell
 //! computes, and they are excluded from the output digest for the same
 //! reason.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -47,7 +56,7 @@ use std::time::SystemTime;
 use unxpec::experiments::seeding::Fnv64;
 use unxpec_harness::durable::{self, field, hex, parse_hex, Record};
 use unxpec_harness::{output_digest, TrialOutput};
-use unxpec_telemetry::json::Value;
+use unxpec_telemetry::json::{escape, Value};
 
 use crate::error::ServiceError;
 
@@ -91,6 +100,58 @@ pub struct ResultCache {
     /// Next recency stamp to hand out.
     next_stamp: u64,
     stats: CacheStats,
+    /// Keys with a failure record on disk.
+    failed: HashSet<u64>,
+    /// The failure records read at open, until the service takes them.
+    loaded_failures: Vec<CellFailures>,
+}
+
+/// A cell's consecutive-failure count and its last error, as persisted
+/// beside the cell's cache entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellFailures {
+    /// The cell digest.
+    pub cell: u64,
+    /// Consecutive failing runs.
+    pub failures: u32,
+    /// The last failure's message.
+    pub error: String,
+}
+
+/// Failure-record format version.
+const FAILURES_VERSION: u64 = 1;
+
+impl Record for CellFailures {
+    const VERSION: u64 = FAILURES_VERSION;
+
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.mix(FAILURES_VERSION)
+            .mix(self.cell)
+            .mix(u64::from(self.failures))
+            .mix_str(&self.error);
+        h.finish()
+    }
+
+    fn render_members(&self, out: &mut String) -> fmt::Result {
+        write!(
+            out,
+            "\"cell\": \"{}\", \"failures\": {}, \"error\": \"{}\"",
+            hex(self.cell),
+            self.failures,
+            escape(&self.error)
+        )
+    }
+
+    fn from_doc(doc: &Value) -> Result<Self, String> {
+        Ok(CellFailures {
+            cell: field(doc, "cell", parse_hex)?,
+            failures: field(doc, "failures", |v| {
+                v.as_u64().and_then(|n| u32::try_from(n).ok())
+            })?,
+            error: field(doc, "error", |v| v.as_str().map(str::to_string))?,
+        })
+    }
 }
 
 /// Entry-format version; bump on any layout change so old files read
@@ -190,6 +251,8 @@ impl ResultCache {
             .map_err(|e| ServiceError::Cache(format!("create {}: {e}", config.dir.display())))?;
         let mut sizes = HashMap::new();
         let mut corrupt = 0u64;
+        let mut failed = HashSet::new();
+        let mut loaded_failures = Vec::new();
         // (mtime, key) per surviving entry — the restart recency seed.
         let mut aged: Vec<(SystemTime, u64)> = Vec::new();
         let shards = std::fs::read_dir(&config.dir)
@@ -203,6 +266,23 @@ impl ResultCache {
             };
             for file in files.flatten() {
                 let name = file.file_name();
+                if let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".failures")) {
+                    let record = durable::read(&file.path())
+                        .and_then(|text| durable::parse::<CellFailures>(&text))
+                        .ok()
+                        .filter(|r| format!("{:016x}", r.cell) == stem);
+                    match record {
+                        Some(record) => {
+                            failed.insert(record.cell);
+                            loaded_failures.push(record);
+                        }
+                        // Damage costs the count, never the open.
+                        None => {
+                            let _ = std::fs::remove_file(file.path());
+                        }
+                    }
+                    continue;
+                }
                 let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
                     continue; // leftover .tmp files and strangers are ignored
                 };
@@ -239,6 +319,8 @@ impl ResultCache {
                 corrupt,
                 ..CacheStats::default()
             },
+            failed,
+            loaded_failures,
         };
         for (_, key) in aged {
             cache.touch(key);
@@ -250,6 +332,28 @@ impl ResultCache {
         self.dir
             .join(format!("{:02x}", key & 0xff))
             .join(format!("{key:016x}.json"))
+    }
+
+    fn failures_path(&self, key: u64) -> PathBuf {
+        self.path_for(key).with_extension("failures")
+    }
+
+    /// The failure records found at open, sorted by cell; a second
+    /// call returns none.
+    pub fn take_failures(&mut self) -> Vec<CellFailures> {
+        let mut records = std::mem::take(&mut self.loaded_failures);
+        records.sort_unstable_by_key(|r| r.cell);
+        records
+    }
+
+    /// Persists `record` beside its cell's entry (atomic temp +
+    /// rename), replacing any earlier one. [`ResultCache::put`] of the
+    /// cell deletes it.
+    pub fn put_failures(&mut self, record: &CellFailures) -> Result<(), ServiceError> {
+        let path = self.failures_path(record.cell);
+        durable::replace(&path, &durable::render(record)).map_err(ServiceError::Cache)?;
+        self.failed.insert(record.cell);
+        Ok(())
     }
 
     fn touch(&mut self, key: u64) {
@@ -314,6 +418,9 @@ impl ResultCache {
         });
         let path = self.path_for(key);
         durable::replace(&path, &text).map_err(ServiceError::Cache)?;
+        if self.failed.remove(&key) {
+            let _ = std::fs::remove_file(self.failures_path(key));
+        }
         self.forget(key); // replacing an entry must not double-count bytes
         self.sizes.insert(key, text.len() as u64);
         self.stats.bytes += text.len() as u64;
@@ -394,6 +501,36 @@ mod tests {
             reopened.get(7).expect("persistent hit").0.rendered,
             o.rendered
         );
+        std::fs::remove_dir_all(&config.dir).ok();
+    }
+
+    /// Failure records sit beside the entries without being entries:
+    /// open neither indexes nor counts them as corrupt, hands them to
+    /// the scheduler once, and a put of the cell deletes its record. A
+    /// damaged record is dropped, not counted.
+    #[test]
+    fn failure_records_reload_and_a_success_deletes_them() {
+        let (config, mut cache) = temp_cache("failures", 0);
+        let record = |cell, failures| CellFailures {
+            cell,
+            failures,
+            error: "boom \"quoted\"".into(),
+        };
+        cache.put_failures(&record(7, 1)).expect("put failures");
+        cache.put_failures(&record(7, 2)).expect("replace failures");
+        cache.put_failures(&record(9, 1)).expect("put failures");
+        put(&mut cache, 9, &output("nine"));
+        let mut reopened = ResultCache::open(&config).expect("reopen");
+        assert_eq!(reopened.len(), 1, "only the entry is indexed");
+        assert_eq!(reopened.stats().corrupt, 0);
+        assert_eq!(reopened.take_failures(), vec![record(7, 2)]);
+        assert!(reopened.take_failures().is_empty(), "taken once");
+        let path = reopened.failures_path(7);
+        std::fs::write(&path, "{\"v\": 1, torn").expect("damage");
+        let mut damaged = ResultCache::open(&config).expect("reopen");
+        assert!(damaged.take_failures().is_empty());
+        assert_eq!(damaged.stats().corrupt, 0);
+        assert!(!path.exists(), "the damaged record is deleted");
         std::fs::remove_dir_all(&config.dir).ok();
     }
 

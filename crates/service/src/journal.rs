@@ -20,7 +20,11 @@
 //! What is deliberately *not* journaled: trial outputs (they live in
 //! the result cache under the cell digest — the journal only records
 //! *that* a cell finished), and failed slots (a poisoned or timed-out
-//! cell should get a fresh chance after a restart).
+//! slot still runs again after a restart). A cell's consecutive-failure
+//! count persists instead beside its cache entry
+//! ([`CellFailures`](crate::CellFailures)), so quarantine survives the
+//! restart while the journal's record set stays `submit`/`done`/
+//! `cancel`. A sweep's `--state-dir` is this journal plus that cache.
 
 use std::fmt::{self, Write as _};
 use std::path::Path;

@@ -41,13 +41,13 @@ use std::time::{Duration, Instant};
 
 use unxpec::experiments::Scale;
 use unxpec_harness::{
-    aggregate, cell_digest, default_jobs, run_tasks_with, submission_digest, Registry, RunPolicy,
-    SweepSpec, TaskOutcome, Trial, TrialCtx, TrialOutput, TrialResult, DIGEST_VERSION,
-    SIMULATOR_VERSION,
+    aggregate, cell_digest, default_jobs, run_tasks_with, submission_digest, PoolStats, Registry,
+    RunPolicy, SweepSpec, TaskEvent, TaskOutcome, TaskTiming, Trial, TrialCtx, TrialOutput,
+    TrialResult, DIGEST_VERSION, SIMULATOR_VERSION,
 };
 use unxpec_telemetry::{Event, MetricsHub, Telemetry};
 
-use crate::cache::{CacheConfig, CacheStats, DigestedOutput, ResultCache};
+use crate::cache::{CacheConfig, CacheStats, CellFailures, DigestedOutput, ResultCache};
 use crate::error::ServiceError;
 use crate::journal::{Journal, JournalRecord};
 use crate::protocol::{self, Request};
@@ -134,13 +134,17 @@ impl Default for AdmissionConfig {
 
 /// One trial's lifecycle inside a job.
 #[derive(Debug, Clone, PartialEq)]
-enum Slot {
+pub(crate) enum Slot {
     Pending,
     Running,
     Done {
         output: TrialOutput,
         digest: u64,
+        /// Served without running: from the cache, the cross-job
+        /// memo, a coalesced leader, or journal replay.
         cached: bool,
+        /// Pool attempts the output took; 0 when `cached`.
+        attempts: u32,
     },
     Failed {
         kind: &'static str,
@@ -151,11 +155,11 @@ enum Slot {
 }
 
 #[derive(Debug)]
-struct JobEntry {
-    id: String,
+pub(crate) struct JobEntry {
+    pub(crate) id: String,
     /// Numeric part of `id` (`"j7"` → 7) — what the journal records.
     num: u64,
-    tenant: String,
+    pub(crate) tenant: String,
     /// The tenant's position in the round-robin ring.
     ring: usize,
     spec: SweepSpec,
@@ -164,10 +168,10 @@ struct JobEntry {
     spec_text: String,
     /// [`submission_digest`] of the spec — the idempotency key that
     /// turns a re-submitted spec into a re-attach.
-    sub_digest: u64,
+    pub(crate) sub_digest: u64,
     trials: Vec<Trial>,
-    cells: Vec<u64>,
-    slots: Vec<Slot>,
+    pub(crate) cells: Vec<u64>,
+    pub(crate) slots: Vec<Slot>,
     /// Rendered per-trial event lines, one per terminal transition, in
     /// occurrence order. A `stream` request with `from: n` replays
     /// `events[n..]` — the session-resume ledger.
@@ -205,7 +209,7 @@ impl JobEntry {
         }
     }
 
-    fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         !self
             .slots
             .iter()
@@ -286,11 +290,11 @@ impl JobStatus {
 }
 
 #[derive(Debug, Default)]
-struct SchedulerState {
+pub(crate) struct SchedulerState {
     /// Every job the server has seen, in submission order. Jobs are
     /// never removed, so an index into `jobs` stays valid for the
     /// server's lifetime; the maps below hold such indices.
-    jobs: Vec<JobEntry>,
+    pub(crate) jobs: Vec<JobEntry>,
     next_job: u64,
     /// Tenant → its position in the round-robin ring, which is
     /// first-appearance order.
@@ -317,10 +321,14 @@ struct SchedulerState {
     /// fairness tests read this; it is capped so a long-lived server
     /// doesn't grow without bound.
     dispatch_log: Vec<(String, String)>,
-    /// Consecutive poison/timeout count per cell digest.
-    cell_failures: HashMap<u64, u32>,
+    /// Consecutive poison/timeout count and last error per cell
+    /// digest, persisted beside the cell's cache entry when a cache is
+    /// configured.
+    pub(crate) cell_failures: HashMap<u64, CellFailures>,
     /// Cells quarantined after repeated failures.
     quarantined: HashSet<u64>,
+    /// Journal lines and records the last replay dropped.
+    pub(crate) journal_dropped: u64,
     /// Draining: stop admitting new work, finish (or leave journaled)
     /// what is in flight. Set by [`Service::begin_drain`] on SIGTERM.
     draining: bool,
@@ -431,7 +439,7 @@ impl SchedulerState {
     }
 
     /// The index of the job with id `id` (`"j7"`).
-    fn job_index(&self, id: &str) -> Option<usize> {
+    pub(crate) fn job_index(&self, id: &str) -> Option<usize> {
         let num = id.strip_prefix('j')?.parse::<u64>().ok()?;
         let idx = *self.by_num.get(&num)?;
         (self.jobs[idx].id == id).then_some(idx)
@@ -452,7 +460,7 @@ struct Inner {
     journal: Option<Mutex<Journal>>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -465,11 +473,13 @@ pub struct Service {
 
 /// What one pool task carries back: the experiment output, or the
 /// (unreachable post-enumeration) registry miss.
-type TaskValue = Result<TrialOutput, String>;
+pub(crate) type TaskValue = Result<TrialOutput, String>;
 
-struct BatchItem {
-    job: usize,
-    slot: usize,
+/// One trial a scheduling pass hands the pool: slot `slot` of the job
+/// at index `job` of the job table.
+pub(crate) struct BatchItem {
+    pub(crate) job: usize,
+    pub(crate) slot: usize,
     cell: u64,
     experiment: String,
     variant: String,
@@ -477,18 +487,51 @@ struct BatchItem {
     scale: Scale,
 }
 
+/// What a scheduling pass reports about the pool batch it runs. The
+/// pool's [`TaskEvent`]s arrive on the worker threads as they happen;
+/// `batch` follows once the pool returns, with the instant the pool
+/// started, the per-trial timings and the batch's counters.
+/// [`Service::tick`] observes nothing (`()`); the in-process sweep
+/// records its progress, spans and pool counters through this.
+pub(crate) trait BatchObserver: Sync {
+    fn event(&self, _batch: &[BatchItem], _event: &TaskEvent<'_, TaskValue>) {}
+
+    fn batch(
+        &self,
+        _batch: &[BatchItem],
+        _started: Instant,
+        _timings: &[TaskTiming],
+        _stats: &PoolStats,
+    ) {
+    }
+}
+
+impl BatchObserver for () {}
+
 impl Service {
     /// Builds a service over `registry`, opening the cache if one is
     /// configured and replaying the job journal if one is. Replay
     /// re-creates every journaled job under its original id, resolves
     /// journaled-done cells through the result cache (zero
     /// re-simulation), and re-enqueues only the cells the previous
-    /// lifetime never finished. No scheduler runs yet: call
+    /// lifetime never finished. The cache's failure records restore
+    /// each cell's consecutive-failure count, so a cell quarantined in
+    /// an earlier lifetime stays quarantined. No scheduler runs yet: call
     /// [`Service::start_worker`] for a live server or [`Service::tick`]
     /// from tests.
     pub fn new(registry: Registry, config: ServiceConfig) -> Result<Self, ServiceError> {
+        let mut state = SchedulerState::default();
         let cache = match &config.cache {
-            Some(cache_config) => Some(Mutex::new(ResultCache::open(cache_config)?)),
+            Some(cache_config) => {
+                let mut cache = ResultCache::open(cache_config)?;
+                for record in cache.take_failures() {
+                    if config.quarantine_after > 0 && record.failures >= config.quarantine_after {
+                        state.quarantined.insert(record.cell);
+                    }
+                    state.cell_failures.insert(record.cell, record);
+                }
+                Some(Mutex::new(cache))
+            }
             None => None,
         };
         let (journal, recovery) = match &config.journal {
@@ -500,7 +543,7 @@ impl Service {
         };
         let service = Service {
             inner: Arc::new(Inner {
-                state: Mutex::new(SchedulerState::default()),
+                state: Mutex::new(state),
                 wake: Condvar::new(),
                 done: Condvar::new(),
                 registry,
@@ -572,6 +615,7 @@ impl Service {
                             output,
                             digest,
                             cached: true,
+                            attempts: 0,
                         };
                         st.finish(idx, slot, to);
                         replayed += 1;
@@ -601,6 +645,7 @@ impl Service {
             }
         }
         let jobs = st.jobs.len() as u64;
+        st.journal_dropped = dropped;
         drop(st);
         let records = recovery.records.len() as u64;
         if let Some(hub) = &inner.config.hub {
@@ -633,7 +678,7 @@ impl Service {
         let spawned = std::thread::Builder::new()
             .name("sweep-scheduler".to_string())
             .spawn(move || loop {
-                let progressed = Inner::tick(&inner) > 0;
+                let progressed = Inner::tick(&inner, &()) > 0;
                 let mut st = lock(&inner.state);
                 if st.shutdown {
                     break;
@@ -769,7 +814,18 @@ impl Service {
     /// terminal slot (0 = nothing to do). Public so tests can drive
     /// the scheduler deterministically without the worker thread.
     pub fn tick(&self) -> usize {
-        Inner::tick(&self.inner)
+        Inner::tick(&self.inner, &())
+    }
+
+    /// [`Service::tick`], reporting the pass's pool batch to
+    /// `observer`.
+    pub(crate) fn tick_observed(&self, observer: &impl BatchObserver) -> usize {
+        Inner::tick(&self.inner, observer)
+    }
+
+    /// Runs `f` on the scheduler state under its lock.
+    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&SchedulerState) -> R) -> R {
+        f(&lock(&self.inner.state))
     }
 
     /// The job's current counters.
@@ -1001,8 +1057,9 @@ impl Inner {
         }
     }
 
-    /// One scheduling pass. See [`Service::tick`].
-    fn tick(inner: &Arc<Inner>) -> usize {
+    /// One scheduling pass. See [`Service::tick`]. The pool batch's
+    /// events, timings and counters go to `observer`.
+    fn tick(inner: &Arc<Inner>, observer: &impl BatchObserver) -> usize {
         let mut st = lock(&inner.state);
         if st.shutdown {
             return 0;
@@ -1082,6 +1139,7 @@ impl Inner {
                         output,
                         digest,
                         cached: true,
+                        attempts: 0,
                     })
                 } else if let Some((output, digest)) = st.memo(cell) {
                     // A previous job already computed this cell and the
@@ -1093,6 +1151,7 @@ impl Inner {
                         output,
                         digest,
                         cached: true,
+                        attempts: 0,
                     })
                 } else {
                     let entry = &mut st.jobs[job_idx];
@@ -1153,7 +1212,8 @@ impl Inner {
                 backoff_cap: Duration::from_secs(2),
             };
             let registry = &inner.registry;
-            let (outcomes, _timings, _stats) = run_tasks_with(
+            let started = Instant::now();
+            let (outcomes, timings, stats) = run_tasks_with(
                 inner.config.jobs,
                 executed,
                 &policy,
@@ -1168,8 +1228,9 @@ impl Inner {
                         variant: item.variant.clone(),
                     }))
                 },
-                |_event| {},
+                |event| observer.event(&batch, &event),
             );
+            observer.batch(&batch, started, &timings, &stats);
 
             // Each outcome becomes the leader's terminal slot. Fresh
             // outputs go to the cache first, outside the state lock,
@@ -1182,13 +1243,15 @@ impl Inner {
                 .zip(outcomes)
                 .map(|(item, outcome)| match outcome {
                     TaskOutcome::Done {
-                        value: Ok(output), ..
+                        value: Ok(output),
+                        attempts,
                     } => {
                         let fresh = DigestedOutput::new(output);
                         let to = Slot::Done {
                             output: fresh.output().clone(),
                             digest: fresh.digest(),
                             cached: false,
+                            attempts,
                         };
                         puts.push((item.cell, fresh));
                         to
@@ -1230,12 +1293,13 @@ impl Inner {
             journal_done.clear();
             for (item, to) in batch.iter().zip(slots) {
                 match &to {
+                    // The cache put above deleted any failure record.
                     Slot::Done { .. } => {
                         st.cell_failures.remove(&item.cell);
                     }
                     // Poisonings and timeouts count toward quarantine.
-                    Slot::Failed { kind, .. } if *kind != "spec" => {
-                        Self::record_failure(&mut st, inner, item.cell);
+                    Slot::Failed { kind, error, .. } if *kind != "spec" => {
+                        Self::record_failure(&mut st, inner, item.cell, error);
                     }
                     _ => {}
                 }
@@ -1250,6 +1314,7 @@ impl Inner {
                                 output: output.clone(),
                                 digest: *digest,
                                 cached: true,
+                                attempts: 0,
                             }
                         }
                         failed => failed.clone(),
@@ -1308,11 +1373,26 @@ impl Inner {
         resolved + executed
     }
 
-    fn record_failure(st: &mut SchedulerState, inner: &Arc<Inner>, cell: u64) {
-        let count = st.cell_failures.entry(cell).or_insert(0);
-        *count += 1;
+    /// Counts one more consecutive failure of `cell`, remembers
+    /// `error`, persists both beside the cell's cache entry, and
+    /// quarantines the cell at the configured threshold.
+    fn record_failure(st: &mut SchedulerState, inner: &Arc<Inner>, cell: u64, error: &str) {
+        let record = st
+            .cell_failures
+            .entry(cell)
+            .or_insert_with(|| CellFailures {
+                cell,
+                failures: 0,
+                error: String::new(),
+            });
+        record.failures = record.failures.saturating_add(1);
+        record.error = error.to_string();
+        if let Some(cache) = &inner.cache {
+            // Best-effort: a lost record costs a count, never a result.
+            let _ = lock(cache).put_failures(record);
+        }
         let threshold = inner.config.quarantine_after;
-        if threshold > 0 && *count >= threshold {
+        if threshold > 0 && record.failures >= threshold {
             st.quarantined.insert(cell);
         }
     }
@@ -1335,7 +1415,12 @@ fn render_results(entry: &JobEntry) -> String {
     for (index, slot) in entry.slots.iter().enumerate() {
         let trial = &entry.trials[index];
         match slot {
-            Slot::Done { output, digest, .. } => {
+            Slot::Done {
+                output,
+                digest,
+                attempts,
+                ..
+            } => {
                 out.push_str(&format!("trial {} digest {:#018x}", trial.key, digest));
                 if output.truncated {
                     out.push_str(" truncated");
@@ -1344,8 +1429,8 @@ fn render_results(entry: &JobEntry) -> String {
                 for (name, value) in &output.metrics {
                     out.push_str(&format!("  metric {name} {value}\n"));
                 }
-                // A truncated number is not a measurement: as in
-                // `run_sweep`, it stays out of the aggregates.
+                // A truncated number is not a measurement: as in the
+                // sweep report, it stays out of the aggregates.
                 if output.truncated {
                     continue;
                 }
@@ -1353,7 +1438,7 @@ fn render_results(entry: &JobEntry) -> String {
                     trial: trial.clone(),
                     output: output.clone(),
                     digest: *digest,
-                    attempts: 1,
+                    attempts: *attempts,
                     resumed: false,
                 });
             }

@@ -2,8 +2,8 @@
 //!
 //! The exporters hand-roll their JSON (no serde in this workspace), so
 //! the tests need an independent way to assert the output actually
-//! parses ([`validate`]), and the durable files (sweep manifest, job
-//! journal, result cache) and the service protocol need to be read
+//! parses ([`validate`]), and the durable files (job journal, result
+//! cache) and the service protocol need to be read
 //! back ([`parse`] / [`Value`]).
 //!
 //! * **Validate once.** [`validate`] is a strict recursive-descent
@@ -199,7 +199,7 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 /// One parsed JSON value.
 ///
 /// Numbers are kept as `f64` (integers up to 2^53 round-trip exactly,
-/// which covers every quantity the manifests store; 64-bit digests are
+/// which covers every quantity the durable files store; 64-bit digests are
 /// serialized as hex *strings* for this reason).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

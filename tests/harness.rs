@@ -1,22 +1,35 @@
-//! Integration tests for the sweep harness: parallel-equals-serial
+//! Integration tests for the sweep: parallel-equals-serial
 //! determinism, the pinned aggregate digest, checkpoint/resume from a
-//! manifest log, and panic containment with bounded retry
-//! (`docs/harness.md`).
+//! state directory (the service's journal plus its result cache), and
+//! panic containment with bounded retry (`docs/harness.md`).
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use unxpec_harness::durable::Log;
-use unxpec_harness::{
-    run_sweep, CompletedTrial, FnExperiment, Manifest, ManifestRecord, PoisonedTrial, Registry,
-    SweepError, SweepOptions, SweepSpec, TrialOutput,
+use unxpec_harness::{FnExperiment, Registry, SweepOptions, SweepSpec, TrialOutput};
+use unxpec_service::{
+    run_sweep, CacheConfig, Journal, JournalRecord, ResultCache, Service, ServiceConfig,
 };
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("unxpec-harness-it-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+fn state(dir: &Path) -> SweepOptions {
+    SweepOptions {
+        state_dir: Some(dir.to_path_buf()),
+        ..SweepOptions::default()
+    }
+}
+
+/// The state directory's journal records.
+fn journal_records(dir: &Path) -> Vec<JournalRecord> {
+    let text = std::fs::read_to_string(dir.join("journal.log")).expect("journal");
+    Journal::salvage(&text).records
 }
 
 /// jobs=1 and jobs=8 must produce identical results, aggregates, and
@@ -32,7 +45,7 @@ fn parallel_sweep_equals_serial_sweep_on_real_experiments() {
 
     let serial = run_sweep(
         &spec,
-        &registry,
+        registry,
         &SweepOptions {
             jobs: 1,
             ..Default::default()
@@ -41,7 +54,7 @@ fn parallel_sweep_equals_serial_sweep_on_real_experiments() {
     .expect("serial sweep");
     let parallel = run_sweep(
         &spec,
-        &registry,
+        Registry::builtin(),
         &SweepOptions {
             jobs: 8,
             ..Default::default()
@@ -76,7 +89,7 @@ fn sweep_aggregate_digest_is_pinned_at_every_job_count() {
     for jobs in [1, 2] {
         let report = run_sweep(
             &spec,
-            &Registry::builtin(),
+            Registry::builtin(),
             &SweepOptions {
                 jobs,
                 ..SweepOptions::default()
@@ -102,30 +115,32 @@ fn counting_registry(runs: Arc<AtomicUsize>) -> Registry {
     r
 }
 
-#[test]
-fn resume_from_manifest_skips_completed_trials() {
-    let dir = tmpdir("resume");
-    let manifest = dir.join("manifest.json");
-    let runs = Arc::new(AtomicUsize::new(0));
-    let registry = counting_registry(runs.clone());
+fn count_spec(seeds: u64) -> SweepSpec {
     let mut spec = SweepSpec::quick();
     spec.experiments = vec!["count".into()];
-    spec.seeds = 5;
+    spec.seeds = seeds;
+    spec
+}
+
+#[test]
+fn resume_from_state_dir_skips_completed_trials() {
+    let dir = tmpdir("resume");
+    let runs = Arc::new(AtomicUsize::new(0));
+    let mut spec = count_spec(5);
     let opts = SweepOptions {
         jobs: 2,
         retries: 0,
-        manifest: Some(manifest.clone()),
-        ..SweepOptions::default()
+        ..state(&dir)
     };
 
-    let first = run_sweep(&spec, &registry, &opts).expect("first run");
+    let first = run_sweep(&spec, counting_registry(runs.clone()), &opts).expect("first run");
     assert_eq!(runs.load(Ordering::Relaxed), 5);
     assert_eq!(first.resumed, 0);
-    assert!(manifest.exists(), "manifest checkpointed");
+    assert!(dir.join("journal.log").exists(), "journal checkpointed");
 
-    // Second run: every trial comes from the manifest, nothing
+    // Second run: every trial comes from the state directory, nothing
     // executes, and the aggregates are byte-identical.
-    let second = run_sweep(&spec, &registry, &opts).expect("resumed run");
+    let second = run_sweep(&spec, counting_registry(runs.clone()), &opts).expect("resumed run");
     assert_eq!(runs.load(Ordering::Relaxed), 5, "no trial re-ran");
     assert_eq!(second.resumed, 5);
     assert_eq!(second.aggregate_digest, first.aggregate_digest);
@@ -133,7 +148,7 @@ fn resume_from_manifest_skips_completed_trials() {
 
     // Growing the seed axis only runs the new trials.
     spec.seeds = 8;
-    let third = run_sweep(&spec, &registry, &opts).expect("grown run");
+    let third = run_sweep(&spec, counting_registry(runs.clone()), &opts).expect("grown run");
     assert_eq!(runs.load(Ordering::Relaxed), 8, "only 3 new trials ran");
     assert_eq!(third.resumed, 5);
     assert_eq!(third.results.len(), 8);
@@ -141,113 +156,199 @@ fn resume_from_manifest_skips_completed_trials() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A log that holds a compacted `poisoned` record and then an appended
-/// `completed` record for the same key resumes that key as completed:
-/// the last record wins, and the superseded failure neither
-/// quarantines the key nor survives the final compaction.
+/// A cell that failed and then succeeded carries no failure history:
+/// the success deletes the failure record beside its cache entry, so
+/// even quarantine after one failing run never quarantines it.
 #[test]
 fn an_appended_completion_supersedes_a_compacted_poisoning() {
     let dir = tmpdir("last-wins");
-    let manifest = dir.join("manifest.json");
+    let spec = count_spec(2);
     let runs = Arc::new(AtomicUsize::new(0));
-    let registry = counting_registry(runs.clone());
-    let mut spec = SweepSpec::quick();
-    spec.experiments = vec!["count".into()];
-    spec.seeds = 2;
-    let uninterrupted = run_sweep(&spec, &registry, &SweepOptions::default()).expect("reference");
-    let s0 = &uninterrupted.results[0];
-    assert_eq!(s0.trial.key, "count/default/s0");
-
-    let mut compacted = Manifest::new(spec.digest(), spec.root_seed);
-    compacted.poisoned.push(PoisonedTrial {
-        key: s0.trial.key.clone(),
-        error: "panicked at 'earlier run'".into(),
-        attempts: 1,
-        failures: 1,
-    });
-    compacted.save(&manifest).expect("compact");
-    Log::append_to(&manifest)
-        .and_then(|mut log| {
-            log.append(&ManifestRecord::Completed(CompletedTrial {
-                key: s0.trial.key.clone(),
-                digest: s0.digest,
-                attempts: s0.attempts,
-                output: s0.output.clone(),
-            }))
+    let uninterrupted = run_sweep(
+        &spec,
+        counting_registry(runs.clone()),
+        &SweepOptions::default(),
+    )
+    .expect("reference");
+    // `count`, except that s0 panics while `armed` is set.
+    let s0 = uninterrupted.results[0].trial.seed;
+    let armed = Arc::new(AtomicBool::new(true));
+    let flaky = || {
+        let (armed, runs) = (armed.clone(), runs.clone());
+        let mut r = Registry::new();
+        r.register(FnExperiment::new("count", &["default"], move |ctx| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            assert!(
+                !(ctx.seed == s0 && armed.load(Ordering::Relaxed)),
+                "earlier run"
+            );
+            TrialOutput::new(
+                format!("seed {}", ctx.seed),
+                vec![("seed_mod", (ctx.seed % 97) as f64)],
+            )
+        }));
+        r
+    };
+    let failures_on_disk = || {
+        ResultCache::open(&CacheConfig {
+            dir: dir.join("cache"),
+            max_bytes: 0,
         })
-        .expect("append");
+        .expect("cache")
+        .take_failures()
+        .len()
+    };
 
-    // With quarantine after one failing run, a surviving poisoned
-    // record would quarantine s0 instead of resuming it.
+    // Run 1: s0 is poisoned, and its failure is recorded.
+    let first = run_sweep(&spec, flaky(), &state(&dir)).expect("failing run");
+    assert_eq!(first.poisoned.len(), 1);
+    assert_eq!(first.poisoned[0].key, "count/default/s0");
+    assert_eq!(first.poisoned[0].failures, 1);
+    assert_eq!(failures_on_disk(), 1);
+
+    // Run 2: the failed slot reruns (failures are not journaled) and
+    // succeeds, which deletes the failure record.
+    armed.store(false, Ordering::Relaxed);
+    let second = run_sweep(&spec, flaky(), &state(&dir)).expect("recovering run");
+    assert!(second.poisoned.is_empty());
+    assert_eq!(second.resumed, 1, "s1 came from the state directory");
+    assert_eq!(failures_on_disk(), 0, "the success cleared the history");
+
+    // Run 3 on a fresh journal, so every cell is dispatched again: with
+    // quarantine after one failing run, a surviving record would
+    // quarantine s0 ahead of its cache hit.
+    std::fs::remove_file(dir.join("journal.log")).expect("drop journal");
+    armed.store(true, Ordering::Relaxed);
     let runs_before = runs.load(Ordering::Relaxed);
     let opts = SweepOptions {
-        manifest: Some(manifest.clone()),
         quarantine_after: 1,
-        ..SweepOptions::default()
+        ..state(&dir)
     };
-    let report = run_sweep(&spec, &registry, &opts).expect("resumed run");
+    let report = run_sweep(&spec, flaky(), &opts).expect("resumed run");
     assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-    assert_eq!(report.resumed, 1, "s0 resumes as completed");
-    assert_eq!(runs.load(Ordering::Relaxed) - runs_before, 1, "only s1 ran");
+    assert_eq!(report.resumed, 2, "both cells resume as completed");
+    assert_eq!(runs.load(Ordering::Relaxed), runs_before, "nothing ran");
     assert!(report.quarantined.is_empty() && report.poisoned.is_empty());
     assert_eq!(report.aggregate_digest, uninterrupted.aggregate_digest);
-    let saved = Manifest::load(&manifest).expect("compacted manifest");
-    assert_eq!(saved.completed.len(), 2);
-    assert!(saved.poisoned.is_empty() && saved.quarantined.is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A pre-log (whole-document) manifest is refused with a typed error
-/// that names the file, and the file is left untouched.
+/// A second spec over the same state directory reuses every cell the
+/// two share, and an unfinished job of another spec that the journal
+/// replays is cancelled, not run.
 #[test]
-fn a_pre_log_manifest_is_refused_not_resumed() {
-    let dir = tmpdir("legacy");
-    let manifest = dir.join("manifest.json");
-    let legacy = "{\n  \"version\": 2,\n  \"checksum\": \"0x1\",\n  \"spec_digest\": \"0x2\",\n  \"root_seed\": 3,\n  \"completed\": [\n  ]\n}\n";
-    std::fs::write(&manifest, legacy).expect("write legacy manifest");
-    let mut spec = SweepSpec::quick();
-    spec.experiments = vec!["count".into()];
-    spec.seeds = 1;
-    let opts = SweepOptions {
-        manifest: Some(manifest.clone()),
-        ..SweepOptions::default()
-    };
-    match run_sweep(&spec, &counting_registry(Arc::default()), &opts) {
-        Err(SweepError::Manifest(e)) => {
-            assert!(e.contains("manifest.json") && e.contains("delete"), "{e}");
-        }
-        other => panic!("expected SweepError::Manifest, got {other:?}"),
-    }
-    assert_eq!(std::fs::read_to_string(&manifest).unwrap(), legacy);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn manifest_for_a_different_spec_is_rejected() {
-    let dir = tmpdir("mismatch");
-    let manifest = dir.join("manifest.json");
+fn a_second_spec_reuses_shared_cells_and_cancels_a_foreign_job() {
+    let dir = tmpdir("second-spec");
     let runs = Arc::new(AtomicUsize::new(0));
-    let registry = counting_registry(runs);
-    let mut spec = SweepSpec::quick();
-    spec.experiments = vec!["count".into()];
-    spec.seeds = 2;
     let opts = SweepOptions {
         jobs: 1,
         retries: 0,
-        manifest: Some(manifest.clone()),
-        ..SweepOptions::default()
+        ..state(&dir)
     };
-    run_sweep(&spec, &registry, &opts).expect("first run");
+    run_sweep(&count_spec(2), counting_registry(runs.clone()), &opts).expect("first run");
+    assert_eq!(runs.load(Ordering::Relaxed), 2);
 
-    spec.root_seed ^= 0xffff;
-    match run_sweep(&spec, &registry, &opts) {
-        Err(SweepError::ManifestMismatch { manifest, spec }) => assert_ne!(manifest, spec),
-        other => panic!("expected ManifestMismatch, got {other:?}"),
-    }
+    // An unfinished foreign job: submitted to the journal, never run.
+    let mut foreign = count_spec(6);
+    foreign.root_seed ^= 0xffff;
+    let service = Service::new(
+        counting_registry(runs.clone()),
+        ServiceConfig {
+            jobs: 1,
+            cache: Some(CacheConfig {
+                dir: dir.join("cache"),
+                max_bytes: 0,
+            }),
+            journal: Some(dir.join("journal.log")),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service");
+    let (foreign_job, _) = service
+        .submit("alice", &foreign.render().unwrap())
+        .expect("submit");
+    drop(service);
 
-    // The manifest file itself still parses and belongs to run 1.
-    let m = Manifest::load(&manifest).expect("manifest still valid");
-    assert_eq!(m.completed.len(), 2);
+    // A different spec sharing cells s0 and s1 with the first.
+    let grown = count_spec(4);
+    let report = run_sweep(&grown, counting_registry(runs.clone()), &opts).expect("second spec");
+    assert_eq!(runs.load(Ordering::Relaxed), 4, "only s2 and s3 ran");
+    assert_eq!(report.resumed, 2, "the shared cells were reused");
+    assert_eq!(report.results.len(), 4);
+
+    // The foreign job's cancel is journaled before the sweep's submit.
+    let records = journal_records(&dir);
+    let num: u64 = foreign_job[1..].parse().unwrap();
+    let cancel = records
+        .iter()
+        .position(|r| *r == JournalRecord::Cancel { job: num })
+        .expect("cancel journaled");
+    let last_submit = records
+        .iter()
+        .rposition(|r| matches!(r, JournalRecord::Submit { .. }))
+        .unwrap();
+    assert!(cancel < last_submit, "cancelled before the sweep submitted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Tier-1: a sweep's cells are the service's cells. A fresh service
+/// over the sweep's cache, with a new journal, serves the same spec
+/// text from another tenant entirely from the cache, and its result
+/// document's aggregates equal the sweep report's.
+#[test]
+fn a_sweeps_cells_are_the_services_cells() {
+    let dir = tmpdir("sweep-service");
+    let runs = Arc::new(AtomicUsize::new(0));
+    let spec = count_spec(4);
+    let report = run_sweep(&spec, counting_registry(runs.clone()), &state(&dir)).expect("sweep");
+    assert_eq!(runs.load(Ordering::Relaxed), 4);
+
+    let service = Service::new(
+        counting_registry(runs.clone()),
+        ServiceConfig {
+            jobs: 2,
+            cache: Some(CacheConfig {
+                dir: dir.join("cache"),
+                max_bytes: 0,
+            }),
+            journal: Some(dir.join("other-journal.log")),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service");
+    let (job, total) = service
+        .submit("someone-else", &spec.render().unwrap())
+        .expect("submit");
+    while service.tick() > 0 {}
+    let status = service.status(&job).expect("status");
+    assert!(status.finished());
+    assert_eq!((status.cached, status.total), (total, 4));
+    assert_eq!(runs.load(Ordering::Relaxed), 4, "zero executions");
+
+    let doc = service.results(&job).expect("results");
+    let lines: Vec<&str> = doc
+        .lines()
+        .filter(|l| l.starts_with("aggregate "))
+        .collect();
+    let expected: Vec<String> = report
+        .aggregates
+        .iter()
+        .map(|a| {
+            format!(
+                "aggregate {} {} {} mean {} std {} min {} max {} n {}",
+                a.experiment,
+                a.variant,
+                a.metric,
+                a.summary.mean,
+                a.summary.std_dev,
+                a.summary.min,
+                a.summary.max,
+                a.summary.n
+            )
+        })
+        .collect();
+    assert!(!lines.is_empty());
+    assert_eq!(lines, expected);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -265,11 +366,10 @@ fn injected_panic_is_contained_and_reported() {
     spec.seeds = 3;
     let report = run_sweep(
         &spec,
-        &registry,
+        registry,
         &SweepOptions {
             jobs: 4,
             retries: 1,
-            manifest: None,
             ..SweepOptions::default()
         },
     )
@@ -291,12 +391,11 @@ fn injected_panic_is_contained_and_reported() {
 
 /// Regression: a trial that panics once and then succeeds must be
 /// counted exactly once everywhere — one attempt chain in the pool
-/// counters (`retried == panicked == 1`), one manifest entry with the
-/// attempt count, and no poisoned record.
+/// counters (`retried == panicked == 1`), one journaled completion and
+/// one cache entry, and no poisoned or failure record.
 #[test]
 fn panic_once_then_succeed_is_not_double_counted() {
     let dir = tmpdir("flaky-accounting");
-    let manifest = dir.join("manifest.json");
     let tries = Arc::new(AtomicUsize::new(0));
     let mut registry = Registry::new();
     let tries_in = tries.clone();
@@ -311,12 +410,11 @@ fn panic_once_then_succeed_is_not_double_counted() {
     spec.seeds = 1;
     let report = run_sweep(
         &spec,
-        &registry,
+        registry,
         &SweepOptions {
             jobs: 2,
             retries: 2,
-            manifest: Some(manifest.clone()),
-            ..SweepOptions::default()
+            ..state(&dir)
         },
     )
     .expect("sweep");
@@ -336,13 +434,21 @@ fn panic_once_then_succeed_is_not_double_counted() {
     assert_eq!(metrics.counter("sweep.trials_poisoned"), 0);
     assert_eq!(metrics.counter("sweep.trials_total"), 1);
 
-    // Manifest: exactly one completed record (the incremental
-    // checkpoint and the final write must not both append it), carrying
-    // the final attempt count, and no poisoned carcass.
-    let m = Manifest::load(&manifest).expect("manifest");
-    assert_eq!(m.completed.len(), 1, "one record for one trial");
-    assert_eq!(m.completed[0].attempts, 2);
-    assert!(m.poisoned.is_empty());
+    // State directory: exactly one journaled completion and one cache
+    // entry for one trial, and no failure record for the panic the
+    // retry absorbed.
+    let done = journal_records(&dir)
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::CellDone { .. }))
+        .count();
+    assert_eq!(done, 1, "one record for one trial");
+    let mut cache = ResultCache::open(&CacheConfig {
+        dir: dir.join("cache"),
+        max_bytes: 0,
+    })
+    .expect("cache");
+    assert_eq!(cache.len(), 1);
+    assert!(cache.take_failures().is_empty());
 
     // The trial span reports the full attempt chain once.
     assert_eq!(report.spans.len(), 1);
@@ -371,11 +477,10 @@ fn flaky_trial_recovers_within_the_retry_budget() {
     spec.seeds = 1;
     let report = run_sweep(
         &spec,
-        &registry,
+        registry,
         &SweepOptions {
             jobs: 1,
             retries: 3,
-            manifest: None,
             ..SweepOptions::default()
         },
     )

@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use unxpec::experiments::trace;
 use unxpec::telemetry::{prometheus_text, scrape, MetricsHub, MetricsServer};
-use unxpec_harness::{run_sweep, Registry, SweepOptions, SweepSpec};
+use unxpec_harness::{Registry, SweepOptions, SweepSpec};
+use unxpec_service::run_sweep;
 
 fn observed_spec() -> SweepSpec {
     let mut spec = SweepSpec::quick();
@@ -23,12 +24,11 @@ fn observed_spec() -> SweepSpec {
 /// produces byte-identical results to a sweep without it.
 #[test]
 fn scraped_live_endpoint_never_perturbs_sweep_results() {
-    let registry = Registry::builtin();
     let spec = observed_spec();
 
     let plain = run_sweep(
         &spec,
-        &registry,
+        Registry::builtin(),
         &SweepOptions {
             jobs: 4,
             ..Default::default()
@@ -57,7 +57,7 @@ fn scraped_live_endpoint_never_perturbs_sweep_results() {
     };
     let live = run_sweep(
         &spec,
-        &registry,
+        Registry::builtin(),
         &SweepOptions {
             jobs: 4,
             live: Some(hub.clone()),
@@ -98,12 +98,11 @@ fn scraped_live_endpoint_never_perturbs_sweep_results() {
 /// exactly with the final report.
 #[test]
 fn progress_series_reconcile_with_the_final_report() {
-    let registry = Registry::builtin();
     let spec = observed_spec();
     let hub = MetricsHub::new();
     let report = run_sweep(
         &spec,
-        &registry,
+        Registry::builtin(),
         &SweepOptions {
             jobs: 2,
             live: Some(hub.clone()),
