@@ -16,7 +16,10 @@
 //! parallelism; `--jobs 1` preserves the serial behavior exactly);
 //! each experiment's output block still prints whole and in command
 //! order because per-experiment seeds derive from the root `--seed`
-//! and the experiment's *name*, never from execution order.
+//! and the experiment's *name*, never from execution order. The
+//! sections and the scorecard read one shared set of figure results
+//! ([`unxpec::experiments::Figures`]), so `all` computes each figure
+//! once, on whichever worker reads it first.
 //! `--csv <dir>` writes raw data as CSV; `--svg <dir>` writes rendered
 //! figures. `--trace-out <file>` writes the `trace` experiment's
 //! Chrome/Perfetto trace-event JSON (open in `chrome://tracing` or
@@ -31,6 +34,7 @@
 use std::path::PathBuf;
 
 use unxpec::experiments::seeding::DEFAULT_ROOT_SEED;
+use unxpec::experiments::Scale;
 use unxpec::telemetry::{MetricsHub, MetricsServer};
 use unxpec_bench::{all_experiments, run_one, Options, EXPERIMENTS};
 use unxpec_harness::{default_jobs, run_tasks_with, RunPolicy, TaskEvent, TaskOutcome};
@@ -38,7 +42,7 @@ use unxpec_harness::{default_jobs, run_tasks_with, RunPolicy, TaskEvent, TaskOut
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
     let mut names: Vec<String> = Vec::new();
-    let mut quick = false;
+    let mut scale = Scale::paper();
     let mut jobs = default_jobs();
     let mut root_seed = DEFAULT_ROOT_SEED;
     let mut csv_dir = None;
@@ -48,7 +52,7 @@ fn main() {
     let mut serve_metrics: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
+            "--quick" => scale = Scale::quick(),
             "--list" => {
                 for name in EXPERIMENTS {
                     println!("{name}");
@@ -112,7 +116,7 @@ fn main() {
         svg_dir,
         trace_out,
         metrics_out,
-        ..Options::new(quick, root_seed)
+        ..Options::new(scale, root_seed)
     };
 
     // Live exposition: bound before the pool starts so a scraper can

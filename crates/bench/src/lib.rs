@@ -6,10 +6,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use unxpec::experiments::seeding;
 use unxpec::experiments::{
-    ablations, defense_costs, leakage, overhead, pdf, rate, resolution, robustness, rollback,
-    scorecard, secret_pattern, table1, timeline, trace, triggers, votes, workload_profile, Scale,
+    ablations, defense_costs, overhead, resolution, robustness, scorecard, secret_pattern, table1,
+    timeline, trace, votes, workload_profile, Figures, Scale,
 };
 
 /// Runs `f`, appending `name`'s banner, the rendered output and the
@@ -60,17 +59,13 @@ pub fn all_experiments() -> Vec<String> {
         .collect()
 }
 
-/// What every rendered section shares: the scale, the root seed and
-/// the optional artifact outputs.
-#[derive(Debug, Clone)]
+/// What every rendered section shares: the figure results of one
+/// scale and root seed, and the optional artifact outputs.
+#[derive(Debug)]
 pub struct Options {
-    /// Sample counts for the figure experiments.
-    pub scale: Scale,
-    /// Whether the reduced (CI) sample counts are in use; the sections
-    /// that size themselves outside [`Scale`] read it.
-    pub quick: bool,
-    /// Root seed every experiment's own stream derives from.
-    pub root_seed: u64,
+    /// The scale, the root seed, and the figure results the sections
+    /// and the scorecard share.
+    pub figures: Figures,
     /// Directory for raw-data CSVs, if any.
     pub csv_dir: Option<PathBuf>,
     /// Directory for rendered SVG figures, if any.
@@ -83,16 +78,11 @@ pub struct Options {
 }
 
 impl Options {
-    /// Quick or paper scale under `root_seed`, writing no files.
-    pub fn new(quick: bool, root_seed: u64) -> Self {
+    /// `scale` under `root_seed`, with nothing computed yet and no
+    /// files to write.
+    pub fn new(scale: Scale, root_seed: u64) -> Self {
         Options {
-            scale: if quick {
-                Scale::quick()
-            } else {
-                Scale::paper()
-            },
-            quick,
-            root_seed,
+            figures: Figures::new(scale, root_seed),
             csv_dir: None,
             svg_dir: None,
             trace_out: None,
@@ -126,17 +116,19 @@ fn write_svg(opts: &Options, out: &mut String, name: &str, svg: String) -> Resul
 /// Renders experiment `name` into `out`: its banner, its output and
 /// the `(... took ...)` wall-time line, exactly as `experiments`
 /// prints it. Everything but the wall-time lines is a pure function of
-/// `(name, opts)`. Fails only when writing a requested CSV, SVG, trace
-/// or metrics file fails.
+/// `(name, opts)`; a figure that another section or the scorecard has
+/// already read is printed, not computed again. Fails only when writing
+/// a requested CSV, SVG, trace or metrics file fails.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not in [`EXPERIMENTS`] or is `"all"`.
 pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), String> {
-    let scale = &opts.scale;
+    let figs = &opts.figures;
+    let scale = figs.scale();
     // Each experiment gets its own deterministic stream off the root
     // seed; execution order and --jobs cannot change it.
-    let seed = seeding::stream(opts.root_seed, name);
+    let seed = figs.seed(name);
     match name {
         "table1" => {
             timed_to(
@@ -146,16 +138,14 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
             );
         }
         "fig2" => {
-            let r = timed_to(out, "Fig. 2 — branch resolution time", || {
-                resolution::run(scale.timing_samples.min(20), seed)
-            });
+            let r = timed_to(out, "Fig. 2 — branch resolution time", || figs.fig2());
             write_csv(opts, out, "fig2", r.to_csv())?;
         }
         "fig3" => {
             let r = timed_to(
                 out,
                 "Fig. 3 — rollback timing difference (no eviction sets)",
-                || rollback::run(false, 8, scale.timing_samples, seed),
+                || figs.fig3(),
             );
             write_csv(opts, out, "fig3", r.to_csv())?;
             write_svg(opts, out, "fig3", r.to_svg())?;
@@ -164,21 +154,21 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
             let r = timed_to(
                 out,
                 "Fig. 6 — rollback timing difference (eviction sets)",
-                || rollback::run(true, 8, scale.timing_samples, seed),
+                || figs.fig6(),
             );
             write_csv(opts, out, "fig6", r.to_csv())?;
             write_svg(opts, out, "fig6", r.to_svg())?;
         }
         "fig7" => {
             let r = timed_to(out, "Fig. 7 — latency PDF (no eviction sets)", || {
-                pdf::run(false, scale.pdf_samples, seed)
+                figs.fig7()
             });
             write_csv(opts, out, "fig7", r.to_csv())?;
             write_svg(opts, out, "fig7", r.to_svg())?;
         }
         "fig8" => {
             let r = timed_to(out, "Fig. 8 — latency PDF (eviction sets)", || {
-                pdf::run(true, scale.pdf_samples, seed)
+                figs.fig8()
             });
             write_csv(opts, out, "fig8", r.to_csv())?;
             write_svg(opts, out, "fig8", r.to_svg())?;
@@ -190,14 +180,14 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
         }
         "fig10" => {
             let r = timed_to(out, "Fig. 10 — secret leakage (no eviction sets)", || {
-                leakage::run(false, scale.leak_bits, seed)
+                figs.fig10()
             });
             write_csv(opts, out, "fig10", r.to_csv())?;
             write_svg(opts, out, "fig10", r.to_svg())?;
         }
         "fig11" => {
             let r = timed_to(out, "Fig. 11 — secret leakage (eviction sets)", || {
-                leakage::run(true, scale.leak_bits, seed)
+                figs.fig11()
             });
             write_csv(opts, out, "fig11", r.to_csv())?;
             write_svg(opts, out, "fig11", r.to_svg())?;
@@ -205,28 +195,28 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
         "rate" => {
             let _ = writeln!(out, "==== §VI-B — leakage rate ====");
             let start = std::time::Instant::now();
-            let (no_es, es) = rate::run(scale.timing_samples.max(40), seed);
+            let (no_es, es) = figs.rate();
             let _ = writeln!(out, "{no_es}{es}");
             let _ = writeln!(out, "(leakage rate took {:.2?})\n", start.elapsed());
         }
         "fig12" => {
             let r = timed_to(out, "Fig. 12 — constant-time rollback overhead", || {
-                overhead::run(scale.workload_warmup, scale.workload_measure)
+                figs.fig12()
             });
             write_csv(opts, out, "fig12", r.to_csv())?;
-            write_svg(opts, out, "fig12", r.to_svg())?;
+            write_svg(opts, out, "fig12", overhead::to_svg(r))?;
         }
         "fig13" => {
             let r = timed_to(
                 out,
                 "Fig. 13 — branch resolution under host-like noise",
-                || resolution::run_host_like(scale.timing_samples.min(20), seed),
+                || resolution::run_host_like(scale.resolution_samples(), seed),
             );
             write_csv(opts, out, "fig13", r.to_csv())?;
         }
         "triggers" => {
             timed_to(out, "Extension — trigger-agnosticism matrix", || {
-                triggers::run(scale.timing_samples.min(30), seed)
+                figs.triggers()
             });
         }
         "workloads" => {
@@ -258,11 +248,7 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
             }
         }
         "robustness" => {
-            let (n, samples, bits) = if opts.quick {
-                (4, 8, 60)
-            } else {
-                (10, 40, 300)
-            };
+            let (n, samples, bits) = scale.robustness_breadth();
             timed_to(out, "Extension — seed-sweep robustness", || {
                 robustness::run(n, samples, bits, seed)
             });
@@ -275,22 +261,24 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
         }
         "votes" => {
             let r = timed_to(out, "Extension — accuracy vs samples per bit", || {
-                votes::run(false, scale.leak_bits / 2, seed)
+                votes::run(false, scale.vote_bits(), seed)
             });
             write_csv(opts, out, "votes", r.to_csv())?;
         }
         "scorecard" => {
-            timed_to(out, "Reproduction scorecard", || {
-                scorecard::run(opts.quick, seed)
-            });
+            timed_to(out, "Reproduction scorecard", || scorecard::run(figs));
         }
         "ablations" => {
-            let samples = if opts.quick { 8 } else { 40 };
+            let (samples, fuzzy_bits) = if scale.full_breadth() {
+                (40, 200)
+            } else {
+                (8, 40)
+            };
             timed_to(out, "Ablation — defense matrix", || {
                 ablations::defense_matrix(samples, seed)
             });
             timed_to(out, "Ablation — fuzzy cleanup", || {
-                ablations::fuzzy_evaluation(60, if opts.quick { 40 } else { 200 }, 7, seed)
+                ablations::fuzzy_evaluation(60, fuzzy_bits, 7, seed)
             });
             timed_to(out, "Ablation — mistraining effort", || {
                 ablations::mistrain_sweep(samples, seed)

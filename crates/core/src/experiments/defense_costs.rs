@@ -13,101 +13,62 @@ use std::fmt;
 use unxpec_cpu::UnsafeBaseline;
 use unxpec_defense::{CleanupSpec, DelayOnMiss, InvisiSpec};
 use unxpec_stats::ascii;
-use unxpec_workloads::{arith_mean_overhead, measure_overheads, spec2017_like_suite, OverheadRow};
+use unxpec_workloads::DefenseFactory;
 
-/// The defense-cost comparison result.
-#[derive(Debug, Clone)]
-pub struct DefenseCosts {
-    /// Scheme names: unsafe, cleanupspec, delay-on-miss (with value
-    /// prediction), invisispec, delay-on-miss without value prediction.
-    pub schemes: Vec<String>,
-    /// Per-workload cycles.
-    pub rows: Vec<OverheadRow>,
+use super::overhead::SuiteGrid;
+
+/// Mean overheads of a [`run`] grid as `(cleanupspec, delay_on_miss,
+/// invisispec)`.
+pub fn ordering(grid: &SuiteGrid) -> (f64, f64, f64) {
+    (
+        grid.average_overhead(1),
+        grid.average_overhead(2),
+        grid.average_overhead(3),
+    )
 }
 
-impl DefenseCosts {
-    /// Arithmetic-mean overhead of scheme `idx` vs unsafe.
-    pub fn average_overhead(&self, idx: usize) -> f64 {
-        arith_mean_overhead(&self.rows, idx)
-    }
-
-    /// Mean overheads as `(cleanupspec, delay_on_miss, invisispec)`.
-    pub fn ordering(&self) -> (f64, f64, f64) {
-        (
-            self.average_overhead(1),
-            self.average_overhead(2),
-            self.average_overhead(3),
-        )
-    }
+/// Runs the suite under every defense class: unsafe, cleanupspec,
+/// delay-on-miss (with value prediction), invisispec, delay-on-miss
+/// without value prediction.
+pub fn run(warmup: u64, measure: u64) -> SuiteGrid {
+    let unsafe_f: DefenseFactory = &|| Box::new(UnsafeBaseline);
+    let cleanup: DefenseFactory = &|| Box::new(CleanupSpec::new());
+    let dom: DefenseFactory = &|| Box::new(DelayOnMiss::new());
+    let dom_naive: DefenseFactory = &|| Box::new(DelayOnMiss::naive());
+    let invisi: DefenseFactory = &|| Box::new(InvisiSpec::new());
+    SuiteGrid::measure(
+        &[
+            ("unsafe", unsafe_f),
+            ("cleanupspec", cleanup),
+            ("delay-on-miss", dom),
+            ("invisispec", invisi),
+            ("dom-no-vp", dom_naive),
+        ],
+        warmup,
+        measure,
+        render,
+    )
 }
 
-impl DefenseCosts {
-    /// CSV rows: `workload,<scheme cycles...>,<scheme slowdowns...>`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("workload");
-        for s in &self.schemes {
-            out.push_str(&format!(",{s}_cycles"));
+/// The defense-landscape table: percentage slowdowns and their average.
+fn render(grid: &SuiteGrid, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    writeln!(f, "Defense landscape — slowdown vs the unsafe baseline")?;
+    let mut headers = vec!["workload"];
+    headers.extend(grid.schemes.iter().skip(1).map(|s| s.as_str()));
+    let mut rows = Vec::new();
+    for row in &grid.rows {
+        let mut cells = vec![row.workload.clone()];
+        for idx in 1..grid.schemes.len() {
+            cells.push(format!("{:+.1}%", row.overhead(idx) * 100.0));
         }
-        for s in self.schemes.iter().skip(1) {
-            out.push_str(&format!(",{s}_slowdown"));
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.workload);
-            for (_, c) in &row.cycles {
-                out.push_str(&format!(",{c}"));
-            }
-            for idx in 1..self.schemes.len() {
-                out.push_str(&format!(",{:.4}", 1.0 + row.overhead(idx)));
-            }
-            out.push('\n');
-        }
-        out
+        rows.push(cells);
     }
-}
-
-/// Runs the suite under every defense class.
-pub fn run(warmup: u64, measure: u64) -> DefenseCosts {
-    let suite = spec2017_like_suite();
-    let unsafe_f: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(UnsafeBaseline);
-    let cleanup: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(CleanupSpec::new());
-    let dom: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(DelayOnMiss::new());
-    let dom_naive: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(DelayOnMiss::naive());
-    let invisi: &dyn Fn() -> Box<dyn unxpec_cpu::Defense> = &|| Box::new(InvisiSpec::new());
-    let schemes: Vec<(&str, _)> = vec![
-        ("unsafe", unsafe_f),
-        ("cleanupspec", cleanup),
-        ("delay-on-miss", dom),
-        ("invisispec", invisi),
-        ("dom-no-vp", dom_naive),
-    ];
-    let rows = measure_overheads(&suite, &schemes, warmup, measure);
-    DefenseCosts {
-        schemes: schemes.iter().map(|(n, _)| n.to_string()).collect(),
-        rows,
+    let mut avg = vec!["average".to_string()];
+    for idx in 1..grid.schemes.len() {
+        avg.push(format!("{:+.1}%", grid.average_overhead(idx) * 100.0));
     }
-}
-
-impl fmt::Display for DefenseCosts {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Defense landscape — slowdown vs the unsafe baseline")?;
-        let mut headers = vec!["workload"];
-        headers.extend(self.schemes.iter().skip(1).map(|s| s.as_str()));
-        let mut rows = Vec::new();
-        for row in &self.rows {
-            let mut cells = vec![row.workload.clone()];
-            for idx in 1..self.schemes.len() {
-                cells.push(format!("{:+.1}%", row.overhead(idx) * 100.0));
-            }
-            rows.push(cells);
-        }
-        let mut avg = vec!["average".to_string()];
-        for idx in 1..self.schemes.len() {
-            avg.push(format!("{:+.1}%", self.average_overhead(idx) * 100.0));
-        }
-        rows.push(avg);
-        write!(f, "{}", ascii::table(&headers, &rows))
-    }
+    rows.push(avg);
+    write!(f, "{}", ascii::table(&headers, &rows))
 }
 
 #[cfg(test)]
@@ -117,7 +78,7 @@ mod tests {
     #[test]
     fn undo_is_the_cheapest_defense() {
         let e = run(8_000, 25_000);
-        let (cleanup, dom, invisi) = e.ordering();
+        let (cleanup, dom, invisi) = ordering(&e);
         // The paper's motivation: Undo << Invisible.
         assert!(
             cleanup < dom && cleanup < invisi,

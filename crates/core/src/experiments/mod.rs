@@ -28,10 +28,15 @@
 //! `docs/observability.md`), and [`chaos`] drives every registry attack
 //! program under seeded fault injection with the runtime invariant
 //! sanitizer armed (see `docs/fault_injection.md`).
+//!
+//! [`Figures`] computes, once per scale and root seed, the figure
+//! results that the `experiments` sections print and the [`scorecard`]
+//! checks.
 
 pub mod ablations;
 pub mod chaos;
 pub mod defense_costs;
+mod figures;
 pub mod leakage;
 pub mod overhead;
 pub mod pdf;
@@ -48,6 +53,8 @@ pub mod trace;
 pub mod triggers;
 pub mod votes;
 pub mod workload_profile;
+
+pub use figures::Figures;
 
 /// A [`Scale`] field that failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,6 +142,42 @@ impl Scale {
     /// Reduced counts for tests.
     pub fn quick() -> Self {
         Scale::new(10, 60, 60, 5_000, 15_000).expect("quick scale is valid")
+    }
+
+    /// Rounds per point of the resolution sweeps (Figs. 2 and 13).
+    pub fn resolution_samples(&self) -> usize {
+        self.timing_samples.min(20)
+    }
+
+    /// Bits per channel variant of the §VI-B rate measurement.
+    pub fn rate_bits(&self) -> usize {
+        self.timing_samples.max(40)
+    }
+
+    /// Rounds per cell of the trigger matrix.
+    pub fn trigger_samples(&self) -> usize {
+        self.timing_samples.min(30)
+    }
+
+    /// Bits per point of the samples-per-bit sweep.
+    pub fn vote_bits(&self) -> usize {
+        (self.leak_bits / 2).max(4)
+    }
+
+    /// Whether the extensions run at their full breadth: from 40 timing
+    /// samples up, which [`Scale::paper`] meets and [`Scale::quick`]
+    /// does not.
+    pub fn full_breadth(&self) -> bool {
+        self.timing_samples >= 40
+    }
+
+    /// `(seeds, samples, bits)` of the seed-sweep robustness study.
+    pub fn robustness_breadth(&self) -> (usize, usize, usize) {
+        if self.full_breadth() {
+            (10, 40, 300)
+        } else {
+            (4, 8, 60)
+        }
     }
 }
 

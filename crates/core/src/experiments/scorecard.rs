@@ -1,16 +1,16 @@
 //! The reproduction scorecard: every headline claim of the paper,
-//! measured and checked against its expected band in one run.
+//! checked against its expected band in one run.
 //!
-//! This is the "did the reproduction work?" button: it re-derives each
-//! quantity from scratch (no caching between checks) and prints
-//! paper-value / measured / verdict rows.
+//! This is the "did the reproduction work?" button: it reads each
+//! quantity from the run's [`Figures`], so a claim prints the value
+//! its figure section prints, and prints paper-value / measured /
+//! verdict rows.
 
 use std::fmt;
 
 use unxpec_stats::ascii;
 
-use super::seeding::stream;
-use super::{leakage, overhead, pdf, rate, resolution, rollback, triggers};
+use super::Figures;
 
 /// One checked claim.
 #[derive(Debug, Clone)]
@@ -63,19 +63,14 @@ fn check(
     });
 }
 
-/// Runs every check. `quick` trades sample counts for speed; `seed` is
-/// the root seed every per-check stream derives from (see
-/// [`super::seeding`]).
-pub fn run(quick: bool, seed: u64) -> Scorecard {
-    let (timing_samples, pdf_samples, bits) = if quick {
-        (10, 80, 200)
-    } else {
-        (50, 500, 1000)
-    };
+/// Checks every claim against the figures [`Figures::for_scorecard`]
+/// picks out of `figures`, computing only the ones no one has read yet.
+pub fn run(figures: &Figures) -> Scorecard {
+    let figs = figures.for_scorecard();
     let mut checks = Vec::new();
 
     // Fig. 2: resolution flat in loads, linear in f(N).
-    let sweep = resolution::run(timing_samples.min(8), stream(seed, "fig2"));
+    let sweep = figs.fig2();
     check(
         &mut checks,
         "Fig.2: resolution spread across in-branch loads (f(1))",
@@ -94,16 +89,15 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
     );
 
     // Figs. 3/6: the headline differences.
-    let no_es = rollback::run(false, 8, timing_samples, stream(seed, "fig3"));
     check(
         &mut checks,
         "Fig.3: single-load timing difference",
         "22 cy",
-        no_es.single_load_difference(),
+        figs.fig3().single_load_difference(),
         " cy",
         15.0..=30.0,
     );
-    let es = rollback::run(true, 8, timing_samples, stream(seed, "fig6"));
+    let es = figs.fig6();
     check(
         &mut checks,
         "Fig.6: single-load difference with eviction sets",
@@ -122,21 +116,19 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
     );
 
     // Figs. 7/8 under noise.
-    let p7 = pdf::run(false, pdf_samples, stream(seed, "fig7"));
     check(
         &mut checks,
         "Fig.7: mean difference under noise",
         "22 cy",
-        p7.mean_difference(),
+        figs.fig7().mean_difference(),
         " cy",
         15.0..=30.0,
     );
-    let p8 = pdf::run(true, pdf_samples, stream(seed, "fig8"));
     check(
         &mut checks,
         "Fig.8: mean difference with eviction sets",
         "32 cy",
-        p8.mean_difference(),
+        figs.fig8().mean_difference(),
         " cy",
         25.0..=45.0,
     );
@@ -146,7 +138,7 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
         &mut checks,
         "Fig.10: single-sample accuracy",
         "86.7%",
-        leakage::run(false, bits, stream(seed, "fig10")).accuracy() * 100.0,
+        figs.fig10().accuracy() * 100.0,
         "%",
         78.0..=93.0,
     );
@@ -154,13 +146,13 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
         &mut checks,
         "Fig.11: accuracy with eviction sets",
         "91.6%",
-        leakage::run(true, bits, stream(seed, "fig11")).accuracy() * 100.0,
+        figs.fig11().accuracy() * 100.0,
         "%",
         86.0..=97.0,
     );
 
     // §VI-B: rate.
-    let (rate_no_es, _) = rate::run(40, stream(seed, "rate"));
+    let (rate_no_es, _) = figs.rate();
     check(
         &mut checks,
         "VI-B: artifact-equivalent leakage rate",
@@ -171,12 +163,7 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
     );
 
     // Fig. 12: constant-time rollback.
-    let (warm, meas) = if quick {
-        (8_000, 25_000)
-    } else {
-        (30_000, 90_000)
-    };
-    let fig12 = overhead::run(warm, meas);
+    let fig12 = figs.fig12();
     check(
         &mut checks,
         "Fig.12: average slowdown at const=25",
@@ -203,7 +190,7 @@ pub fn run(quick: bool, seed: u64) -> Scorecard {
     );
 
     // Trigger-agnosticism (extension).
-    let m = triggers::run(timing_samples.min(10), stream(seed, "triggers"));
+    let m = figs.triggers();
     check(
         &mut checks,
         "ext: channel through a v2 trigger",
@@ -257,10 +244,11 @@ impl fmt::Display for Scorecard {
 mod tests {
     use super::*;
     use crate::experiments::seeding::DEFAULT_ROOT_SEED;
+    use crate::experiments::Scale;
 
     #[test]
     fn display_shows_verdicts() {
-        let card = run(true, DEFAULT_ROOT_SEED);
+        let card = run(&Figures::new(Scale::quick(), DEFAULT_ROOT_SEED));
         let text = card.to_string();
         assert!(text.contains("PASS"));
         assert!(text.contains("Fig.3"));

@@ -40,6 +40,14 @@ pub const DIGEST_VERSION: u32 = 2;
 /// Behavioral version of the simulator whose outputs are being cached.
 /// Part of every cell digest: bump it when simulator semantics change
 /// and every cached result is invalidated at once.
+///
+/// A bump also moves the benchmark's pinned counts. Every cell digest
+/// hashes this version, and the journal's `done` records print cell
+/// digests unpadded ([`durable::hex`](crate::durable::hex), `{:#x}`),
+/// so the journal's byte count changes with the digests' leading
+/// zeros. perfbench pins `service-warm`'s `journal_bytes` in
+/// `perfbench/golden_counts.txt`, so a bump belongs in a change that
+/// may update the benchmark's golden counts.
 pub const SIMULATOR_VERSION: u32 = 1;
 
 /// Combines tagged `name=value` fields into one digest, independent of

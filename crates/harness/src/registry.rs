@@ -5,16 +5,17 @@
 //!
 //! Variants encode the channel/figure axis an experiment already has
 //! (`no-es`/`es` for the eviction-set pair, the four ablation
-//! sub-studies, `sim`/`host-like` resolution). Each adapter maps the
-//! trial's [`Scale`] to the driver's
-//! sample arguments the same way the `experiments` binary does, and
+//! sub-studies, `sim`/`host-like` resolution). Each adapter sizes its
+//! driver from the trial's [`Scale`] (where the `experiments` binary
+//! runs the same driver, both call the same `Scale` sizing method), and
 //! extracts the headline quantities as named metrics so the sweep can
 //! aggregate them across the seed axis.
+//!
+//! [`Scale`]: unxpec::experiments::Scale
 
 use unxpec::experiments::{
     ablations, chaos, defense_costs, leakage, overhead, pdf, rate, resolution, robustness,
-    rollback, scorecard, secret_pattern, table1, timeline, trace, triggers, votes,
-    workload_profile, Scale,
+    rollback, secret_pattern, table1, timeline, trace, triggers, votes, workload_profile,
 };
 
 use crate::experiment::{Experiment, FnExperiment, TrialOutput};
@@ -91,7 +92,7 @@ impl Registry {
             TrialOutput::new(l.to_string(), vec![("accuracy", l.accuracy())])
         }));
         r.register(FnExperiment::new("rate", &["default"], |ctx| {
-            let (no_es, es) = rate::run(ctx.scale.timing_samples.max(40), ctx.seed);
+            let (no_es, es) = rate::run(ctx.scale.rate_bits(), ctx.seed);
             TrialOutput::new(
                 format!("{no_es}{es}"),
                 vec![("raw_bps_no_es", no_es.raw_bps), ("raw_bps_es", es.raw_bps)],
@@ -101,7 +102,7 @@ impl Registry {
             "resolution",
             &["sim", "host-like"],
             |ctx| {
-                let samples = ctx.scale.timing_samples.min(20);
+                let samples = ctx.scale.resolution_samples();
                 let sweep = if ctx.variant == "host-like" {
                     resolution::run_host_like(samples, ctx.seed)
                 } else {
@@ -118,7 +119,7 @@ impl Registry {
             },
         ));
         r.register(FnExperiment::new("triggers", &["default"], |ctx| {
-            let m = triggers::run(ctx.scale.timing_samples.min(30), ctx.seed);
+            let m = triggers::run(ctx.scale.trigger_samples(), ctx.seed);
             let metrics = m
                 .rows
                 .iter()
@@ -129,11 +130,7 @@ impl Registry {
             out
         }));
         r.register(FnExperiment::new("votes", &["no-es", "es"], |ctx| {
-            let sweep = votes::run(
-                ctx.variant == "es",
-                (ctx.scale.leak_bits / 2).max(4),
-                ctx.seed,
-            );
+            let sweep = votes::run(ctx.variant == "es", ctx.scale.vote_bits(), ctx.seed);
             let last = sweep.points.last().expect("votes sweep is nonempty");
             TrialOutput::new(
                 sweep.to_string(),
@@ -168,13 +165,8 @@ impl Registry {
             )
         }));
         r.register(FnExperiment::new("robustness", &["default"], |ctx| {
-            // The driver sweeps its own inner seed axis; scale picks
-            // its breadth the same way the experiments binary does.
-            let (n, samples, bits) = if ctx.scale.timing_samples >= 40 {
-                (10, 40, 300)
-            } else {
-                (4, 8, 60)
-            };
+            // The driver sweeps its own inner seed axis.
+            let (n, samples, bits) = ctx.scale.robustness_breadth();
             let sweep = robustness::run(n, samples, bits, ctx.seed);
             TrialOutput::new(
                 sweep.to_string(),
@@ -236,7 +228,7 @@ impl Registry {
         }));
         r.register(FnExperiment::new("defense-costs", &["default"], |ctx| {
             let c = defense_costs::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
-            let (cleanupspec, delay_on_miss, invisispec) = c.ordering();
+            let (cleanupspec, delay_on_miss, invisispec) = defense_costs::ordering(&c);
             TrialOutput::new(
                 c.to_string(),
                 vec![
@@ -252,10 +244,6 @@ impl Registry {
         }));
         r.register(FnExperiment::new("table1", &["default"], |_ctx| {
             TrialOutput::new(table1::run().to_string(), vec![])
-        }));
-        r.register(FnExperiment::new("scorecard", &["default"], |ctx| {
-            let quick = ctx.scale.timing_samples < Scale::paper().timing_samples;
-            TrialOutput::new(scorecard::run(quick, ctx.seed).to_string(), vec![])
         }));
         let chaos_variants = chaos::ChaosMode::variant_names();
         r.register(FnExperiment::new("chaos", &chaos_variants, |ctx| {
@@ -282,6 +270,7 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::experiment::TrialCtx;
+    use unxpec::experiments::Scale;
 
     #[test]
     fn builtin_names_are_unique_and_variants_nonempty() {

@@ -69,8 +69,8 @@ fn rate_bands() {
 #[test]
 fn fig12_quick_band() {
     let e = overhead::run(4_000, 12_000);
-    let o25 = e.mean_overhead_for_constant(25);
-    let o65 = e.mean_overhead_for_constant(65);
+    let o25 = overhead::mean_overhead_for_constant(&e, 25);
+    let o65 = overhead::mean_overhead_for_constant(&e, 65);
     assert!(o65 > o25, "{o25} vs {o65}");
     assert!(e.rows.len() == 12);
     assert!(e.to_string().contains("geomean"));

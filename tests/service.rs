@@ -33,7 +33,11 @@ fn tmpdir(name: &str) -> PathBuf {
 /// tests can prove cache hits never re-run the simulator. The metric
 /// exercises the f64 round-trip with a non-terminating binary fraction.
 fn counting_registry(counter: Arc<AtomicUsize>) -> Registry {
-    let mut registry = Registry::new();
+    with_counter(Registry::new(), counter)
+}
+
+/// `registry` plus the `count` experiment of [`counting_registry`].
+fn with_counter(mut registry: Registry, counter: Arc<AtomicUsize>) -> Registry {
     registry.register(FnExperiment::new("count", &["a", "b"], move |ctx| {
         counter.fetch_add(1, Ordering::SeqCst);
         let mut out = TrialOutput::new(
@@ -920,7 +924,9 @@ fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
     // A spec that names an execution mode no longer parses: every trial
     // runs on the detailed core. A journal written when it did parse
     // must still replay, dropping that job and everything after it
-    // that refers to it, while other journaled jobs resume.
+    // that refers to it, while other journaled jobs resume. The same
+    // holds for a job naming `scorecard`, which is not a registry
+    // experiment: the scorecard is a view over other experiments.
     let dir = tmpdir("journal-mode-key");
     let journal = dir.join("journal.log");
     let mode_spec = format!("{SPEC}\nmode = fast-forward");
@@ -937,6 +943,16 @@ fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
         },
         JournalRecord::Submit {
             job: 2,
+            tenant: "dave".to_string(),
+            spec_text: "experiments = scorecard\nscale = quick\nseeds = 1".to_string(),
+        },
+        JournalRecord::CellDone {
+            job: 2,
+            slot: 0,
+            cell: 0xfeed_f00d,
+        },
+        JournalRecord::Submit {
+            job: 3,
             tenant: "bob".to_string(),
             spec_text: SPEC_B.to_string(),
         },
@@ -949,7 +965,7 @@ fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
     let counter = Arc::new(AtomicUsize::new(0));
     let hub = MetricsHub::new();
     let service = Service::new(
-        counting_registry(Arc::clone(&counter)),
+        with_counter(Registry::builtin(), Arc::clone(&counter)),
         ServiceConfig {
             jobs: 2,
             journal: Some(journal),
@@ -959,20 +975,21 @@ fn journaled_spec_with_a_mode_key_is_dropped_and_the_rest_is_served() {
     )
     .expect("a journal can never brick the server");
     let snapshot = hub.snapshot();
-    assert_eq!(snapshot.counter("service.journal.dropped"), 2);
+    assert_eq!(snapshot.counter("service.journal.dropped"), 4);
     assert_eq!(snapshot.counter("service.journal.jobs"), 1);
     assert!(service.status("j1").is_err(), "the mode job is gone");
-    assert_eq!(service.status("j2").expect("bob's job resumes").open, 8);
+    assert!(service.status("j2").is_err(), "the scorecard job is gone");
+    assert_eq!(service.status("j3").expect("bob's job resumes").open, 8);
 
     assert!(matches!(
         service.submit("alice", &mode_spec),
         Err(ServiceError::Spec(_))
     ));
     let (job, trials) = service.submit("carol", SPEC).expect("submit");
-    assert_eq!((job.as_str(), trials), ("j3", 8));
+    assert_eq!((job.as_str(), trials), ("j4", 8));
     drive(&service);
-    assert!(service.status("j2").expect("status").finished());
     assert!(service.status("j3").expect("status").finished());
+    assert!(service.status("j4").expect("status").finished());
     assert_eq!(counter.load(Ordering::SeqCst), 16);
     std::fs::remove_dir_all(&dir).ok();
 }

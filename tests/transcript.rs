@@ -12,6 +12,7 @@
 //! ```
 
 use unxpec::experiments::seeding::DEFAULT_ROOT_SEED;
+use unxpec::experiments::Scale;
 use unxpec_bench::{all_experiments, run_one, Options};
 use unxpec_harness::{run_tasks_with, RunPolicy, TaskOutcome};
 
@@ -53,13 +54,15 @@ fn assert_same(got: &str, want: &str, what: &str) {
 #[test]
 fn quick_transcript_matches_the_golden_serially_and_on_a_pool() {
     let golden = std::fs::read_to_string("tests/golden/experiments_quick.txt").expect("golden");
-    let opts = Options::new(true, DEFAULT_ROOT_SEED);
     let names = all_experiments();
 
+    let opts = Options::new(Scale::quick(), DEFAULT_ROOT_SEED);
     let serial: String = names.iter().map(|name| render(name, &opts)).collect();
     let serial = without_timings(&serial);
     assert_same(&serial, &golden, "serial quick `all` against the golden");
 
+    // Fresh figures, so the pool computes every section again.
+    let opts = Options::new(Scale::quick(), DEFAULT_ROOT_SEED);
     let (outcomes, _, _) = run_tasks_with(
         2,
         names.len(),
