@@ -26,6 +26,11 @@
 //! a `kill -9` costs zero completed trials (`docs/service.md`,
 //! "Crash recovery").
 //!
+//! **Fairness**: trials dispatch round-robin across tenants, one at a
+//! time, as the `--jobs` workers free; `--max-tenant-inflight N` caps
+//! the trials one tenant may have running at once (0, the default, is
+//! no cap beyond `--jobs`).
+//!
 //! **Backpressure**: `--max-open-jobs`, `--max-pending-bytes`, and
 //! `--max-tenant-jobs` bound admitted work; a submission over budget
 //! is refused with the typed `overloaded` error carrying

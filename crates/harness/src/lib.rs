@@ -6,12 +6,12 @@
 //! change is the slowest loop in the workspace, and a single panicking
 //! trial used to take the whole run down with it. This crate turns the
 //! grid into a declarative [`SweepSpec`] and supplies what every trial
-//! engine needs to execute it on a work-stealing [`pool`] of
-//! `std::thread` workers (the vendored stub crates have no rayon, so
-//! the pool is hand-rolled on an injector queue plus per-worker
-//! deques). The one engine that schedules trials is the service
-//! scheduler in `unxpec-service`; its `run_sweep` submits a spec in
-//! process and fills in this crate's [`SweepReport`].
+//! engine needs to execute it on a [`pool`] of `std::thread` workers
+//! (the vendored stub crates have no rayon, so the pool is one
+//! hand-rolled loop: each worker asks for its next task as it frees).
+//! The one engine that schedules trials is the service scheduler in
+//! `unxpec-service`; its `run_sweep` submits a spec in process and
+//! fills in this crate's [`SweepReport`].
 //!
 //! * **Deterministic sharding** — every trial's RNG seed is derived
 //!   from the sweep's root seed and the trial's *identity*
@@ -28,8 +28,8 @@
 //!   cache, which is where a sweep's checkpoint/resume lives.
 //! * **Observability** — the pool emits one wall-clock [`Span`] per
 //!   trial attempt (one track per worker) for
-//!   [`unxpec_telemetry::spans_to_chrome_json`], plus queue-depth,
-//!   steal, retry, and utilization counters.
+//!   [`unxpec_telemetry::spans_to_chrome_json`], plus retry and
+//!   utilization counters.
 //!
 //! ```
 //! use unxpec_harness::{Registry, SweepSpec};
@@ -60,7 +60,8 @@ pub use digest::{
 };
 pub use experiment::{output_digest, Experiment, FnExperiment, TrialCtx, TrialOutput};
 pub use pool::{
-    default_jobs, run_tasks_with, PoolStats, RunPolicy, TaskEvent, TaskOutcome, TaskTiming,
+    default_jobs, run_tasks_with, run_workers, PoolStats, RunPolicy, TaskEvent, TaskOutcome,
+    TaskTiming,
 };
 pub use profiler::SelfProfiler;
 pub use registry::Registry;

@@ -1,14 +1,13 @@
-//! A `std`-only work-stealing worker pool with per-task panic
-//! containment.
+//! A `std`-only worker pool with per-task panic containment.
 //!
 //! The vendored dependency set has no rayon/crossbeam, so the pool is
-//! built on what `std` gives us: a shared injector queue
-//! (`Mutex<VecDeque>`) that holds all task indices up front, per-worker
-//! deques that amortize injector contention (workers grab batches), and
-//! stealing from other workers' deques when both run dry. Because
-//! tasks never spawn tasks, a worker may exit as soon as the injector
-//! and every deque are simultaneously empty — no termination-detection
-//! protocol is needed.
+//! one loop on `std` threads: [`run_workers`] starts `jobs` workers,
+//! and each asks a caller-supplied `next` for a task, runs it, hands
+//! the outcome to the caller's `done`, and asks again, until `next`
+//! answers `None`. A worker takes its next task the moment it frees,
+//! so a slow task holds back only its own worker. `next` may block:
+//! the service scheduler's workers wait there for work.
+//! [`run_tasks_with`] is the same loop over a shared index cursor.
 //!
 //! Each task attempt runs under [`std::panic::catch_unwind`]; a panic
 //! is retried in place — after a deterministic, bounded backoff — up
@@ -20,15 +19,15 @@
 //! [`TaskOutcome::TimedOut`] instead of a silently slow sweep.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The default worker count for the sweep/experiments binaries and the
 /// service: the machine's available parallelism, clamped to `[1, 64]`.
 /// The upper clamp keeps a many-core box from spawning hundreds of
-/// workers whose injector contention outweighs their throughput;
-/// `--jobs` overrides it in both directions.
+/// workers whose contention outweighs their throughput; `--jobs`
+/// overrides it in both directions.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().clamp(1, 64))
 }
@@ -75,7 +74,7 @@ impl<T> TaskOutcome<T> {
 }
 
 /// How tasks are retried and bounded — everything about failure
-/// handling that [`run_tasks_with`] needs beyond the task itself.
+/// handling that [`run_workers`] needs beyond the task itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
     /// Retries per panicking task before it is poisoned.
@@ -166,18 +165,14 @@ pub struct TaskTiming {
 pub struct PoolStats {
     /// Worker threads used.
     pub jobs: usize,
-    /// Tasks executed (equals the submitted count).
+    /// Tasks executed.
     pub executed: u64,
-    /// Tasks a worker stole from another worker's deque.
-    pub stolen: u64,
     /// Extra attempts caused by panics.
     pub retried: u64,
     /// Attempts that panicked.
     pub panicked: u64,
     /// Tasks that blew the wall-clock deadline.
     pub timed_out: u64,
-    /// Maximum injector queue depth observed at grab time.
-    pub max_queue_depth: u64,
     /// Microseconds workers spent inside tasks, summed over workers.
     pub busy_us: u64,
     /// Wall-clock microseconds for the whole pool run.
@@ -195,23 +190,13 @@ impl PoolStats {
     }
 }
 
+#[derive(Default)]
 struct Counters {
-    stolen: AtomicU64,
+    executed: AtomicU64,
     retried: AtomicU64,
     panicked: AtomicU64,
     timed_out: AtomicU64,
-    max_queue_depth: AtomicU64,
     busy_us: AtomicU64,
-}
-
-fn update_max(slot: &AtomicU64, value: u64) {
-    let mut current = slot.load(Ordering::Relaxed);
-    while value > current {
-        match slot.compare_exchange_weak(current, value, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => current = seen,
-        }
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -225,24 +210,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one task to completion (with retries) and records its outcome.
-fn execute<T, F>(
+fn execute<T>(
     index: usize,
     worker: usize,
-    task: &F,
+    task: impl Fn() -> T,
     policy: &RunPolicy,
     epoch: Instant,
     counters: &Counters,
-) -> (TaskOutcome<T>, TaskTiming)
-where
-    F: Fn(usize) -> T + Sync,
-{
+) -> (TaskOutcome<T>, TaskTiming) {
     let start = Instant::now();
     let start_us = start.duration_since(epoch).as_micros() as u64;
     let mut attempts = 0u32;
     let over_deadline = |elapsed: Duration| policy.deadline.is_some_and(|d| elapsed > d);
     let outcome = loop {
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| task(index))) {
+        match catch_unwind(AssertUnwindSafe(&task)) {
             Ok(value) => {
                 let elapsed = start.elapsed();
                 if over_deadline(elapsed) {
@@ -285,6 +267,7 @@ where
         }
     };
     let dur_us = start.elapsed().as_micros() as u64;
+    counters.executed.fetch_add(1, Ordering::Relaxed);
     counters.busy_us.fetch_add(dur_us, Ordering::Relaxed);
     let timing = TaskTiming {
         index,
@@ -296,23 +279,64 @@ where
     (outcome, timing)
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    // Worker panics are caught before they can poison these locks, so
-    // a poisoned mutex here means a bug in the pool itself.
-    m.lock().expect("pool lock poisoned")
+/// Runs `jobs` workers until each has been told to stop, and returns
+/// the pool counters.
+///
+/// A worker calls `next(worker)` for its next task, an `(index, task)`
+/// pair or `None` to stop. It runs `run(&task)` under the retry,
+/// deadline and backoff rules of `policy`, then calls
+/// `done(task, outcome, timing)`, and asks `next` again. `index` only
+/// labels the task's [`TaskTiming`]. `run` must be safe to call again
+/// after a panic (the retry path reinvokes it). With `jobs <= 1` the
+/// one worker runs inline on the caller thread.
+pub fn run_workers<J, T>(
+    jobs: usize,
+    policy: &RunPolicy,
+    next: impl Fn(usize) -> Option<(usize, J)> + Sync,
+    run: impl Fn(&J) -> T + Sync,
+    done: impl Fn(J, TaskOutcome<T>, TaskTiming) + Sync,
+) -> PoolStats {
+    let jobs = jobs.max(1);
+    let epoch = Instant::now();
+    let counters = Counters::default();
+    let worker_loop = |worker: usize| {
+        while let Some((index, task)) = next(worker) {
+            let (outcome, timing) = execute(index, worker, || run(&task), policy, epoch, &counters);
+            done(task, outcome, timing);
+        }
+    };
+    if jobs == 1 {
+        worker_loop(0);
+    } else {
+        std::thread::scope(|scope| {
+            for worker in 0..jobs {
+                let worker_loop = &worker_loop;
+                scope.spawn(move || worker_loop(worker));
+            }
+        });
+    }
+    PoolStats {
+        jobs,
+        executed: counters.executed.load(Ordering::Relaxed),
+        retried: counters.retried.load(Ordering::Relaxed),
+        panicked: counters.panicked.load(Ordering::Relaxed),
+        timed_out: counters.timed_out.load(Ordering::Relaxed),
+        busy_us: counters.busy_us.load(Ordering::Relaxed),
+        wall_us: epoch.elapsed().as_micros() as u64,
+    }
 }
 
 /// Runs `n_tasks` tasks on `jobs` workers under `policy` and returns
 /// their outcomes indexed by task index, plus per-task timings (in
 /// start order) and the pool counters.
 ///
-/// `task(i)` computes task `i`; it must be safe to call again after a
-/// panic (the retry path reinvokes it). `on_event` receives each
-/// task's [`TaskEvent`] lifecycle on the worker thread that runs it —
-/// the service scheduler hands these to its batch observer, which is
-/// how the in-process sweep streams live progress and samples the
-/// self-profiler. With `jobs <= 1` everything runs inline on the
-/// caller thread in index order, which is the serial baseline the
+/// This is [`run_workers`] over a shared cursor: each worker takes the
+/// next unstarted index. `task(i)` computes task `i`; it must be safe
+/// to call again after a panic (the retry path reinvokes it).
+/// `on_event` receives each task's [`TaskEvent`] lifecycle on the
+/// worker thread that runs it, which is how the `experiments` binary
+/// streams live progress. With `jobs <= 1` everything runs inline on
+/// the caller thread in index order, which is the serial baseline the
 /// determinism tests compare against.
 pub fn run_tasks_with<T, F, C>(
     jobs: usize,
@@ -326,132 +350,39 @@ where
     F: Fn(usize) -> T + Sync,
     C: Fn(TaskEvent<'_, T>) + Sync,
 {
-    let jobs = jobs.max(1).min(n_tasks.max(1));
-    let epoch = Instant::now();
-    let counters = Counters {
-        stolen: AtomicU64::new(0),
-        retried: AtomicU64::new(0),
-        panicked: AtomicU64::new(0),
-        timed_out: AtomicU64::new(0),
-        max_queue_depth: AtomicU64::new(0),
-        busy_us: AtomicU64::new(0),
-    };
-
-    let mut outcomes: Vec<Option<TaskOutcome<T>>> = Vec::with_capacity(n_tasks);
-    outcomes.resize_with(n_tasks, || None);
-    let mut timings: Vec<TaskTiming> = Vec::with_capacity(n_tasks);
-
-    if jobs == 1 {
-        counters
-            .max_queue_depth
-            .store(n_tasks as u64, Ordering::Relaxed);
-        for (index, slot) in outcomes.iter_mut().enumerate() {
-            on_event(TaskEvent::Started { index, worker: 0 });
-            let (outcome, timing) = execute(index, 0, &task, policy, epoch, &counters);
+    let cursor = AtomicUsize::new(0);
+    let finished = Mutex::new(Vec::with_capacity(n_tasks));
+    let stats = run_workers(
+        jobs.min(n_tasks),
+        policy,
+        |worker| {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            (index < n_tasks).then(|| {
+                on_event(TaskEvent::Started { index, worker });
+                (index, index)
+            })
+        },
+        |&index| task(index),
+        |index, outcome, timing| {
             on_event(TaskEvent::Finished {
                 index,
-                worker: 0,
+                worker: timing.worker,
                 outcome: &outcome,
                 timing: &timing,
             });
-            *slot = Some(outcome);
-            timings.push(timing);
-        }
-    } else {
-        let injector: Mutex<std::collections::VecDeque<usize>> = Mutex::new((0..n_tasks).collect());
-        let deques: Vec<Mutex<std::collections::VecDeque<usize>>> =
-            (0..jobs).map(|_| Mutex::new(Default::default())).collect();
-        type ResultSlot<T> = Mutex<Option<(TaskOutcome<T>, TaskTiming)>>;
-        let result_slots: Vec<ResultSlot<T>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for worker in 0..jobs {
-                let injector = &injector;
-                let deques = &deques;
-                let result_slots = &result_slots;
-                let counters = &counters;
-                let task = &task;
-                let on_event = &on_event;
-                scope.spawn(move || loop {
-                    // 1. Own deque (LIFO keeps the batch cache-warm).
-                    let mut next = lock(&deques[worker]).pop_back();
-                    // 2. Batch-grab from the injector.
-                    if next.is_none() {
-                        let mut inj = lock(injector);
-                        let depth = inj.len() as u64;
-                        if depth > 0 {
-                            update_max(&counters.max_queue_depth, depth);
-                            // Keep one, bank the rest of the batch locally.
-                            let batch = (inj.len() / (2 * jobs)).max(1).min(inj.len());
-                            next = inj.pop_front();
-                            let mut own = lock(&deques[worker]);
-                            for _ in 1..batch {
-                                if let Some(i) = inj.pop_front() {
-                                    own.push_back(i);
-                                }
-                            }
-                        }
-                    }
-                    // 3. Steal the oldest task from a sibling.
-                    if next.is_none() {
-                        for other in (0..jobs).filter(|&o| o != worker) {
-                            if let Some(i) = lock(&deques[other]).pop_front() {
-                                counters.stolen.fetch_add(1, Ordering::Relaxed);
-                                next = Some(i);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(index) = next else {
-                        // Tasks never spawn tasks, so empty-everywhere
-                        // means this worker is permanently done.
-                        let drained =
-                            lock(injector).is_empty() && deques.iter().all(|d| lock(d).is_empty());
-                        if drained {
-                            return;
-                        }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    on_event(TaskEvent::Started { index, worker });
-                    let (outcome, timing) = execute(index, worker, task, policy, epoch, counters);
-                    on_event(TaskEvent::Finished {
-                        index,
-                        worker,
-                        outcome: &outcome,
-                        timing: &timing,
-                    });
-                    *lock(&result_slots[index]) = Some((outcome, timing));
-                });
-            }
-        });
-
-        for (index, slot) in result_slots.into_iter().enumerate() {
-            let (outcome, timing) = slot
-                .into_inner()
-                .expect("pool lock poisoned")
-                .unwrap_or_else(|| panic!("task {index} never completed"));
-            outcomes[index] = Some(outcome);
-            timings.push(timing);
-        }
-        timings.sort_by_key(|t| (t.start_us, t.index));
-    }
-
-    let stats = PoolStats {
-        jobs,
-        executed: n_tasks as u64,
-        stolen: counters.stolen.load(Ordering::Relaxed),
-        retried: counters.retried.load(Ordering::Relaxed),
-        panicked: counters.panicked.load(Ordering::Relaxed),
-        timed_out: counters.timed_out.load(Ordering::Relaxed),
-        max_queue_depth: counters.max_queue_depth.load(Ordering::Relaxed),
-        busy_us: counters.busy_us.load(Ordering::Relaxed),
-        wall_us: epoch.elapsed().as_micros() as u64,
-    };
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every slot filled"))
-        .collect();
+            finished
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((outcome, timing));
+        },
+    );
+    let mut finished = finished
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    // The cursor hands out every index exactly once.
+    finished.sort_by_key(|(_, timing)| timing.index);
+    let (outcomes, mut timings): (Vec<_>, Vec<_>) = finished.into_iter().unzip();
+    timings.sort_by_key(|t| (t.start_us, t.index));
     (outcomes, timings, stats)
 }
 

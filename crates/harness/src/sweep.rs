@@ -154,8 +154,8 @@ pub struct SweepReport {
     /// How many trials came from the state directory instead of
     /// running.
     pub resumed: usize,
-    /// Pool counters (jobs, steals, retries, utilization…), summed
-    /// over the scheduler's batches.
+    /// Pool counters (jobs, retries, utilization…) of the sweep's one
+    /// scheduler run.
     pub stats: PoolStats,
     /// One wall-clock span per executed trial, on per-worker tracks.
     pub spans: Vec<Span>,
@@ -310,11 +310,9 @@ impl SweepReport {
         m.inc("sweep.trials_quarantined", self.quarantined.len() as u64);
         m.inc("sweep.pool.jobs", self.stats.jobs as u64);
         m.inc("sweep.pool.executed", self.stats.executed);
-        m.inc("sweep.pool.stolen", self.stats.stolen);
         m.inc("sweep.pool.retried", self.stats.retried);
         m.inc("sweep.pool.panicked", self.stats.panicked);
         m.inc("sweep.pool.timed_out", self.stats.timed_out);
-        m.inc("sweep.pool.max_queue_depth", self.stats.max_queue_depth);
         m.inc("sweep.pool.busy_us", self.stats.busy_us);
         m.inc("sweep.pool.wall_us", self.stats.wall_us);
         m.inc(
@@ -349,9 +347,8 @@ impl std::fmt::Display for SweepReport {
         )?;
         writeln!(
             f,
-            "pool: {} job(s), {} stolen, {} retried, utilization {:.0}%, wall {:.1} ms",
+            "pool: {} job(s), {} retried, utilization {:.0}%, wall {:.1} ms",
             self.stats.jobs,
-            self.stats.stolen,
             self.stats.retried,
             self.stats.utilization() * 100.0,
             self.stats.wall_us as f64 / 1000.0

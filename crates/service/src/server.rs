@@ -2,33 +2,35 @@
 //!
 //! [`Service`] owns the job table, the fair-share scheduler, and the
 //! result cache. Clients submit [`SweepSpec`]s (as the harness's
-//! `key=value` text); the scheduler slices pending trials into batches
-//! for the harness's work-stealing pool, round-robining across
-//! *tenants* so one tenant's thousand-trial sweep cannot starve
+//! `key=value` text); the scheduler hands pending trials, one at a
+//! time, to the harness's pool workers as they free, round-robining
+//! across *tenants* so one tenant's thousand-trial sweep cannot starve
 //! another's smoke test:
 //!
-//! * Each scheduling tick walks tenants in first-appearance order,
-//!   starting one past the tenant that got the previous slot, and takes
-//!   at most one trial per visit — dispatch order interleaves tenants
+//! * Each dispatch walks tenants in first-appearance order, starting
+//!   one past the tenant that got the previous trial, and takes one
+//!   trial from the first it can — dispatch order interleaves tenants
 //!   even when their queue depths differ by orders of magnitude. The
 //!   walk visits only tenants with pending work, found through an index
-//!   of pending jobs, so a pass costs O(tenants with pending work), not
-//!   O(every job the server has seen).
-//! * Per-tenant concurrency inside a batch is additionally bounded by
-//!   [`ServiceConfig::max_tenant_inflight`].
+//!   of pending jobs, so a dispatch costs O(tenants with pending work),
+//!   not O(every job the server has seen).
+//! * The trials one tenant has running at once are additionally
+//!   bounded by [`ServiceConfig::max_tenant_inflight`].
 //! * Every candidate trial is first looked up in the
 //!   [`ResultCache`] by its [`cell_digest`]; a hit resolves without
-//!   consuming a pool slot. Identical cells *within* one batch are
-//!   coalesced: one execution, every waiter shares the output.
+//!   taking a worker. A cell that is already running is coalesced: one
+//!   execution, every waiter shares the output.
 //! * Failure handling reuses the sweep harness's machinery — the pool's
 //!   retry/deadline/backoff [`RunPolicy`], plus cell-level quarantine
 //!   after repeated poisonings so a deterministic panic cannot eat the
 //!   retry budget of every tenant that submits it.
 //!
-//! The scheduler runs either on a background worker thread
-//! ([`Service::start_worker`]) or manually ([`Service::tick`]), which is
-//! how tests drive it deterministically. [`TcpFront`] is the
-//! line-delimited JSON listener described in [`crate::protocol`].
+//! One engine runs every trial: `jobs` pool workers that each take the
+//! next trial when they free. It runs on a background thread until
+//! shutdown ([`Service::start_worker`]), one step at a time
+//! ([`Service::tick`], which is how tests drive it deterministically),
+//! or until nothing is pending (the in-process sweep). [`TcpFront`] is
+//! the line-delimited JSON listener described in [`crate::protocol`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Write};
@@ -41,9 +43,9 @@ use std::time::{Duration, Instant};
 
 use unxpec::experiments::Scale;
 use unxpec_harness::{
-    aggregate, cell_digest, default_jobs, run_tasks_with, submission_digest, PoolStats, Registry,
-    RunPolicy, SweepSpec, TaskEvent, TaskOutcome, TaskTiming, Trial, TrialCtx, TrialOutput,
-    TrialResult, DIGEST_VERSION, SIMULATOR_VERSION,
+    aggregate, cell_digest, default_jobs, run_workers, submission_digest, PoolStats, Registry,
+    RunPolicy, SweepSpec, TaskEvent, TaskOutcome, Trial, TrialCtx, TrialOutput, TrialResult,
+    DIGEST_VERSION, SIMULATOR_VERSION,
 };
 use unxpec_telemetry::{Event, MetricsHub, Telemetry};
 
@@ -55,7 +57,7 @@ use crate::protocol::{self, Request};
 /// Everything the service is configured with.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Pool worker threads per batch.
+    /// Pool worker threads: the trials that run at once.
     pub jobs: usize,
     /// Retries per panicking trial.
     pub retries: u32,
@@ -66,8 +68,8 @@ pub struct ServiceConfig {
     /// Poison/timeout count after which a cell is quarantined; 0
     /// disables quarantine.
     pub quarantine_after: u32,
-    /// Max trials one tenant may hold in a single batch; 0 = no bound
-    /// beyond the batch size itself.
+    /// Max trials one tenant may have running at once; 0 = no bound
+    /// beyond [`ServiceConfig::jobs`] itself.
     pub max_tenant_inflight: usize,
     /// Result cache location and bound; `None` runs cacheless.
     pub cache: Option<CacheConfig>,
@@ -304,7 +306,8 @@ pub(crate) struct SchedulerState {
     /// no entry, and a front job's cursor is at a `Pending` slot.
     pending: BTreeMap<usize, VecDeque<usize>>,
     /// Jobs whose completion is not yet counted into metrics: every
-    /// unfinished job, plus any that finished since the last tick.
+    /// unfinished job, plus any that finished since the scheduler's
+    /// last lock hold.
     uncounted: BTreeSet<usize>,
     /// Job number → the job.
     by_num: HashMap<u64, usize>,
@@ -317,6 +320,11 @@ pub(crate) struct SchedulerState {
     completed_cells: HashMap<u64, (usize, usize)>,
     /// Ring index of the tenant that gets the *next* slot.
     rr: usize,
+    /// Cells running on a worker now → the `(job, slot)`s waiting on
+    /// each, which share its output when it completes.
+    inflight: HashMap<u64, Vec<(usize, usize)>>,
+    /// Ring position → that tenant's trials running on a worker now.
+    tenant_inflight: HashMap<usize, usize>,
     /// `(tenant, trial key)` per pool dispatch, in dispatch order. The
     /// fairness tests read this; it is capped so a long-lived server
     /// doesn't grow without bound.
@@ -408,7 +416,7 @@ impl SchedulerState {
     }
 
     /// The output and digest of a completed slot for `cell`, if any
-    /// job holds one: the cross-job memo the tick and replay share.
+    /// job holds one: the cross-job memo dispatch and replay share.
     fn memo(&self, cell: u64) -> Option<(TrialOutput, u64)> {
         let &(job, slot) = self.completed_cells.get(&cell)?;
         match &self.jobs[job].slots[slot] {
@@ -448,7 +456,8 @@ impl SchedulerState {
 
 struct Inner {
     state: Mutex<SchedulerState>,
-    /// Wakes the worker thread on submissions and shutdown.
+    /// Wakes idle workers on submissions and shutdown, and under a
+    /// tenant cap on completions.
     wake: Condvar,
     /// Signals job completion to `wait`ers.
     done: Condvar,
@@ -475,11 +484,13 @@ pub struct Service {
 /// (unreachable post-enumeration) registry miss.
 pub(crate) type TaskValue = Result<TrialOutput, String>;
 
-/// One trial a scheduling pass hands the pool: slot `slot` of the job
+/// One trial [`Inner::dispatch`] hands a worker: slot `slot` of the job
 /// at index `job` of the job table.
-pub(crate) struct BatchItem {
+pub(crate) struct Dispatched {
     pub(crate) job: usize,
     pub(crate) slot: usize,
+    /// The owning tenant's ring position.
+    ring: usize,
     cell: u64,
     experiment: String,
     variant: String,
@@ -487,26 +498,53 @@ pub(crate) struct BatchItem {
     scale: Scale,
 }
 
-/// What a scheduling pass reports about the pool batch it runs. The
-/// pool's [`TaskEvent`]s arrive on the worker threads as they happen;
-/// `batch` follows once the pool returns, with the instant the pool
-/// started, the per-trial timings and the batch's counters.
-/// [`Service::tick`] observes nothing (`()`); the in-process sweep
-/// records its progress, spans and pool counters through this.
-pub(crate) trait BatchObserver: Sync {
-    fn event(&self, _batch: &[BatchItem], _event: &TaskEvent<'_, TaskValue>) {}
-
-    fn batch(
-        &self,
-        _batch: &[BatchItem],
-        _started: Instant,
-        _timings: &[TaskTiming],
-        _stats: &PoolStats,
-    ) {
-    }
+/// What the engine reports about the trials it runs: each trial's
+/// `Started` before its first attempt and `Finished` once its slot is
+/// terminal, on the worker thread that runs it. [`Service::tick`]
+/// observes nothing (`()`); the in-process sweep records its progress
+/// and spans through this.
+pub(crate) trait TrialObserver: Sync {
+    fn event(&self, _trial: &Dispatched, _event: &TaskEvent<'_, TaskValue>) {}
 }
 
-impl BatchObserver for () {}
+impl TrialObserver for () {}
+
+/// When the engine's workers stop asking for trials.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// [`Service::tick`]: take up to `jobs` trials, run them, return.
+    Step,
+    /// Once no trial is pending.
+    Drained,
+    /// At [`Service::shutdown`].
+    Shutdown,
+}
+
+/// What one hold of the state lock did to trials: the `done` records
+/// to journal before the lock is released, and the counts to publish.
+#[derive(Default)]
+struct Hold {
+    journal: Vec<JournalRecord>,
+    /// Trials that left `Pending`.
+    taken: usize,
+    /// Slots made terminal.
+    finished: usize,
+    cached: u64,
+    memoized: u64,
+    quarantined: u64,
+    executed: u64,
+    coalesced: u64,
+    poisoned: u64,
+    timed_out: u64,
+}
+
+impl Hold {
+    /// [`SchedulerState::finish`], keeping the journal record.
+    fn finish(&mut self, st: &mut SchedulerState, job: usize, slot: usize, to: Slot) {
+        self.journal.extend(st.finish(job, slot, to));
+        self.finished += 1;
+    }
+}
 
 impl Service {
     /// Builds a service over `registry`, opening the cache if one is
@@ -677,21 +715,8 @@ impl Service {
         let inner = Arc::clone(&self.inner);
         let spawned = std::thread::Builder::new()
             .name("sweep-scheduler".to_string())
-            .spawn(move || loop {
-                let progressed = Inner::tick(&inner, &()) > 0;
-                let mut st = lock(&inner.state);
-                if st.shutdown {
-                    break;
-                }
-                if !progressed && !Inner::has_pending(&st) {
-                    // Timed wait: a missed notify costs 50 ms, not a hang.
-                    let (guard, _) = inner
-                        .wake
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    st = guard;
-                }
-                drop(st);
+            .spawn(move || {
+                Inner::run(&inner, &(), Stop::Shutdown);
             });
         if let Ok(handle) = spawned {
             self.worker = Some(handle);
@@ -809,18 +834,21 @@ impl Service {
         Ok(())
     }
 
-    /// One scheduling pass: resolve what the cache can, run one pool
-    /// batch for the rest. Returns the number of trials that reached a
-    /// terminal slot (0 = nothing to do). Public so tests can drive
+    /// One scheduling step: takes trials in dispatch order until
+    /// `jobs` of them are running or nothing more can be dispatched,
+    /// resolving what the cache can on the way, and returns when those
+    /// trials finish. Returns the number of trials taken, every one of
+    /// them now terminal (0 = nothing to do). Public so tests can drive
     /// the scheduler deterministically without the worker thread.
     pub fn tick(&self) -> usize {
-        Inner::tick(&self.inner, &())
+        Inner::run(&self.inner, &(), Stop::Step).0
     }
 
-    /// [`Service::tick`], reporting the pass's pool batch to
-    /// `observer`.
-    pub(crate) fn tick_observed(&self, observer: &impl BatchObserver) -> usize {
-        Inner::tick(&self.inner, observer)
+    /// Runs trials, each worker taking the next as it frees, until no
+    /// trial is pending, reporting each to `observer`. Returns the
+    /// run's pool counters.
+    pub(crate) fn run_pending(&self, observer: &impl TrialObserver) -> PoolStats {
+        Inner::run(&self.inner, observer, Stop::Drained).1
     }
 
     /// Runs `f` on the scheduler state under its lock.
@@ -1027,11 +1055,7 @@ impl Inner {
         status
     }
 
-    fn has_pending(st: &SchedulerState) -> bool {
-        !st.pending.is_empty()
-    }
-
-    fn publish_cache_stats(inner: &Arc<Inner>) {
+    fn publish_cache_stats(inner: &Inner) {
         let (Some(hub), Some(cache)) = (&inner.config.hub, &inner.cache) else {
             return;
         };
@@ -1045,315 +1069,351 @@ impl Inner {
         });
     }
 
-    /// Appends the `done` records of the slots a lock hold made
-    /// terminal. Taking the held state keeps the documented lock order
-    /// (state → journal) and means the records are on file before any
-    /// reader can see those slots. Best-effort: a failed append costs a
-    /// re-run after restart (which the cache then absorbs), never
-    /// correctness.
-    fn journal_done(inner: &Inner, _held: &SchedulerState, records: &[JournalRecord]) {
-        if let Some(journal) = &inner.journal {
-            let _ = lock(journal).append_all(records);
+    /// The engine every caller runs: pool workers that each take the
+    /// next trial when they free, until `stop` says to stop. Returns the
+    /// number of trials taken (counted for [`Stop::Step`] only) and the
+    /// pool counters.
+    fn run(inner: &Arc<Inner>, observer: &impl TrialObserver, stop: Stop) -> (usize, PoolStats) {
+        let mut jobs = inner.config.jobs.max(1);
+        let mut taken = 0;
+        // A step takes all its trials in one lock hold before any of
+        // them runs, so a completion cannot change what the step takes.
+        let step = (stop == Stop::Step).then(|| {
+            let mut st = lock(&inner.state);
+            let mut hold = Hold::default();
+            let mut trials = VecDeque::new();
+            while trials.len() < jobs && !st.shutdown {
+                let Some(trial) = Self::take(inner, &mut st, &mut hold) else {
+                    break;
+                };
+                trials.push_back(trial);
+            }
+            taken = hold.taken;
+            let finished = Self::release(inner, &mut st, hold);
+            drop(st);
+            if finished {
+                inner.done.notify_all();
+            }
+            jobs = trials.len();
+            Mutex::new(trials)
+        });
+        if jobs == 0 {
+            return (taken, PoolStats::default());
+        }
+        let config = &inner.config;
+        let policy = RunPolicy {
+            retries: config.retries,
+            deadline: (config.deadline_ms > 0).then(|| Duration::from_millis(config.deadline_ms)),
+            backoff_base: Duration::from_millis(config.backoff_ms),
+            backoff_cap: Duration::from_secs(2),
+        };
+        let stats = run_workers(
+            jobs,
+            &policy,
+            |worker| {
+                let trial = match &step {
+                    Some(trials) => lock(trials).pop_front(),
+                    None => Self::next(inner, stop),
+                }?;
+                let index = trial.slot;
+                observer.event(&trial, &TaskEvent::Started { index, worker });
+                Some((index, trial))
+            },
+            |trial| -> TaskValue {
+                let experiment = inner
+                    .registry
+                    .get(&trial.experiment)
+                    .ok_or_else(|| format!("experiment {:?} vanished", trial.experiment))?;
+                Ok(experiment.run(&TrialCtx {
+                    seed: trial.seed,
+                    scale: trial.scale,
+                    variant: trial.variant.clone(),
+                }))
+            },
+            |trial, outcome, timing| {
+                let event = TaskEvent::Finished {
+                    index: trial.slot,
+                    worker: timing.worker,
+                    outcome: &outcome,
+                    timing: &timing,
+                };
+                Self::complete(inner, &trial, &outcome);
+                observer.event(&trial, &event);
+            },
+        );
+        (taken, stats)
+    }
+
+    /// The next trial for a worker to run, waiting on `wake` while none
+    /// can be dispatched; `None` once `stop` says this worker is done.
+    fn next(inner: &Inner, stop: Stop) -> Option<Dispatched> {
+        loop {
+            let mut st = lock(&inner.state);
+            if st.shutdown {
+                return None;
+            }
+            let mut hold = Hold::default();
+            let trial = Self::take(inner, &mut st, &mut hold);
+            let finished = Self::release(inner, &mut st, hold);
+            let done = trial.is_some() || (stop == Stop::Drained && st.pending.is_empty());
+            if !done && !finished {
+                // Timed wait: a missed notify costs 50 ms, not a hang.
+                drop(
+                    inner
+                        .wake
+                        .wait_timeout(st, Duration::from_millis(50))
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                continue;
+            }
+            // Wake `wait`ers only once the lock is free for them.
+            drop(st);
+            if finished {
+                inner.done.notify_all();
+            }
+            if done {
+                return trial;
+            }
         }
     }
 
-    /// One scheduling pass. See [`Service::tick`]. The pool batch's
-    /// events, timings and counters go to `observer`.
-    fn tick(inner: &Arc<Inner>, observer: &impl BatchObserver) -> usize {
-        let mut st = lock(&inner.state);
-        if st.shutdown {
-            return 0;
-        }
-        let batch_cap = inner.config.jobs.max(1);
-        let tenant_cap = if inner.config.max_tenant_inflight == 0 {
-            usize::MAX
-        } else {
-            inner.config.max_tenant_inflight
-        };
-        let mut batch: Vec<BatchItem> = Vec::new();
-        let mut waiters: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-        let mut inflight: HashSet<u64> = HashSet::new();
-        // Trials taken this batch, per ring position.
-        let mut per_tenant: HashMap<usize, usize> = HashMap::new();
-        let mut resolved = 0usize;
-        let mut cache_hits = 0u64;
-        let mut memo_hits = 0u64;
-        let mut quarantine_drops = 0u64;
-        // `done` records of the slots this lock hold makes terminal.
-        let mut journal_done: Vec<JournalRecord> = Vec::new();
-
+    /// Dispatches until a trial needs a worker, taking on the way the
+    /// trials the cache, the memo, quarantine or a running cell resolve;
+    /// `None` once nothing can be dispatched.
+    fn take(inner: &Inner, st: &mut SchedulerState, hold: &mut Hold) -> Option<Dispatched> {
         loop {
-            let n_tenants = st.ring_of.len();
-            if st.pending.is_empty() || batch.len() >= batch_cap {
-                break;
-            }
-            // One pass over the tenant ring, starting at `rr`, taking
-            // at most one trial per tenant per visit. The start is
-            // fixed before the pass: `rr` itself advances per dispatch.
-            // Tenants without pending work would be passed over, so the
-            // pass visits only those in `pending`.
-            let start = st.rr;
-            let visits: Vec<usize> = st
-                .pending
-                .range(start..)
-                .chain(st.pending.range(..start))
-                .map(|(&ring, _)| ring)
-                .collect();
-            let mut progressed = false;
-            for ring in visits {
-                if *per_tenant.get(&ring).unwrap_or(&0) >= tenant_cap {
-                    continue;
-                }
-                // A visit changes only the visited tenant's jobs, so
-                // every tenant listed for this pass still has work.
-                let Some(&job_idx) = st.pending.get(&ring).and_then(VecDeque::front) else {
-                    continue;
-                };
-                let slot_idx = st.jobs[job_idx].cursor;
-                let tenant = st.jobs[job_idx].tenant.clone();
-                progressed = true;
-                let cell = st.jobs[job_idx].cells[slot_idx];
-                // Candidate chain, cheapest source first: quarantine,
-                // then cells already dispatched this batch (before the
-                // disk cache, so an in-batch duplicate never records a
-                // spurious cache miss), then the disk cache, then the
-                // cross-job completed-cell memo, then the pool.
-                let terminal = if st.quarantined.contains(&cell) {
-                    quarantine_drops += 1;
-                    Some(Slot::Failed {
-                        kind: "quarantined",
-                        error: "cell quarantined after repeated failures".to_string(),
-                        attempts: 0,
-                    })
-                } else if inflight.contains(&cell) {
-                    // Same cell already executing in this batch: share
-                    // the leader's output instead of re-running it.
-                    st.jobs[job_idx].slots[slot_idx] = Slot::Running;
-                    waiters.entry(cell).or_default().push((job_idx, slot_idx));
-                    None
-                } else if let Some((output, digest)) =
-                    inner.cache.as_ref().and_then(|c| lock(c).get(cell))
-                {
-                    cache_hits += 1;
-                    Some(Slot::Done {
-                        output,
-                        digest,
-                        cached: true,
-                        attempts: 0,
-                    })
-                } else if let Some((output, digest)) = st.memo(cell) {
-                    // A previous job already computed this cell and the
-                    // disk cache no longer has it (cacheless server or
-                    // evicted entry): subscribe to that result instead
-                    // of re-simulating.
-                    memo_hits += 1;
-                    Some(Slot::Done {
-                        output,
-                        digest,
-                        cached: true,
-                        attempts: 0,
-                    })
-                } else {
-                    let entry = &mut st.jobs[job_idx];
-                    entry.slots[slot_idx] = Slot::Running;
-                    let trial = &entry.trials[slot_idx];
-                    let queued_us = entry.submitted.elapsed().as_micros() as u64;
-                    let key = trial.key.clone();
-                    batch.push(BatchItem {
-                        job: job_idx,
-                        slot: slot_idx,
-                        cell,
-                        experiment: trial.experiment.clone(),
-                        variant: trial.variant.clone(),
-                        seed: trial.seed,
-                        scale: entry.spec.scale,
-                    });
-                    inflight.insert(cell);
-                    *per_tenant.entry(ring).or_insert(0) += 1;
-                    if st.dispatch_log.len() < DISPATCH_LOG_CAP {
-                        st.dispatch_log.push((tenant.clone(), key));
-                    }
-                    if let Some(hub) = &inner.config.hub {
-                        hub.observe(
-                            &format!("service.tenant.{tenant}.queue_latency_us"),
-                            queued_us,
-                        );
-                    }
-                    None
-                };
-                if let Some(to) = terminal {
-                    journal_done.extend(st.finish(job_idx, slot_idx, to));
-                    resolved += 1;
-                }
-                st.settle(ring);
-                // This tenant consumed the turn either way; the next
-                // slot goes to the tenant after it.
-                st.rr = (ring + 1) % n_tenants;
-                if batch.len() >= batch_cap {
-                    break;
-                }
-            }
-            // Every pass either consumed at least one pending trial
-            // (progressed) or proved there is nothing dispatchable.
-            if !progressed {
-                break;
+            if let Some(trial) = Self::dispatch(inner, st, hold)? {
+                return Some(trial);
             }
         }
-        Self::journal_done(inner, &st, &journal_done);
+    }
 
-        let executed = batch.len();
-        if executed > 0 {
-            drop(st);
-            let policy = RunPolicy {
-                retries: inner.config.retries,
-                deadline: (inner.config.deadline_ms > 0)
-                    .then(|| Duration::from_millis(inner.config.deadline_ms)),
-                backoff_base: Duration::from_millis(inner.config.backoff_ms),
-                backoff_cap: Duration::from_secs(2),
+    /// Takes the next pending trial in ring order: the first tenant at
+    /// or after `rr` that has one and is under
+    /// [`ServiceConfig::max_tenant_inflight`]. Candidate chain, cheapest
+    /// source first: quarantine, then a cell already running (the trial
+    /// waits on it; before the disk cache, so a duplicate never records
+    /// a spurious cache miss), then the disk cache, then the cross-job
+    /// completed-cell memo, then a worker. Returns `None` when nothing
+    /// can be dispatched, `Some(None)` when the trial needs no worker,
+    /// and `Some(Some(trial))` for a worker to run.
+    fn dispatch(
+        inner: &Inner,
+        st: &mut SchedulerState,
+        hold: &mut Hold,
+    ) -> Option<Option<Dispatched>> {
+        let tenant_cap = match inner.config.max_tenant_inflight {
+            0 => usize::MAX,
+            cap => cap,
+        };
+        let ring = st
+            .pending
+            .range(st.rr..)
+            .chain(st.pending.range(..st.rr))
+            .map(|(&ring, _)| ring)
+            .find(|ring| st.tenant_inflight.get(ring).copied().unwrap_or(0) < tenant_cap)?;
+        let job = *st.pending.get(&ring).and_then(VecDeque::front)?;
+        let slot = st.jobs[job].cursor;
+        let cell = st.jobs[job].cells[slot];
+        hold.taken += 1;
+        let mut run = None;
+        if st.quarantined.contains(&cell) {
+            hold.quarantined += 1;
+            let to = Slot::Failed {
+                kind: "quarantined",
+                error: "cell quarantined after repeated failures".to_string(),
+                attempts: 0,
             };
-            let registry = &inner.registry;
-            let started = Instant::now();
-            let (outcomes, timings, stats) = run_tasks_with(
-                inner.config.jobs,
-                executed,
-                &policy,
-                |index| -> TaskValue {
-                    let item = &batch[index];
-                    let experiment = registry
-                        .get(&item.experiment)
-                        .ok_or_else(|| format!("experiment {:?} vanished", item.experiment))?;
-                    Ok(experiment.run(&TrialCtx {
-                        seed: item.seed,
-                        scale: item.scale,
-                        variant: item.variant.clone(),
-                    }))
-                },
-                |event| observer.event(&batch, &event),
-            );
-            observer.batch(&batch, started, &timings, &stats);
-
-            // Each outcome becomes the leader's terminal slot. Fresh
-            // outputs go to the cache first, outside the state lock,
-            // so every `done` record below points at a stored entry.
-            let mut poisoned = 0u64;
-            let mut timed_out = 0u64;
-            let mut puts: Vec<(u64, DigestedOutput)> = Vec::new();
-            let slots: Vec<Slot> = batch
-                .iter()
-                .zip(outcomes)
-                .map(|(item, outcome)| match outcome {
-                    TaskOutcome::Done {
-                        value: Ok(output),
-                        attempts,
-                    } => {
-                        let fresh = DigestedOutput::new(output);
-                        let to = Slot::Done {
-                            output: fresh.output().clone(),
-                            digest: fresh.digest(),
-                            cached: false,
-                            attempts,
-                        };
-                        puts.push((item.cell, fresh));
-                        to
-                    }
-                    TaskOutcome::Done {
-                        value: Err(error), ..
-                    } => Slot::Failed {
-                        kind: "spec",
-                        error,
-                        attempts: 1,
-                    },
-                    TaskOutcome::Poisoned { error, attempts } => {
-                        poisoned += 1;
-                        Slot::Failed {
-                            kind: "poisoned",
-                            error,
-                            attempts,
-                        }
-                    }
-                    TaskOutcome::TimedOut { error, attempts } => {
-                        timed_out += 1;
-                        Slot::Failed {
-                            kind: "timed-out",
-                            error,
-                            attempts,
-                        }
-                    }
-                })
-                .collect();
-            if let Some(cache) = &inner.cache {
-                let mut guard = lock(cache);
-                for (cell, fresh) in &puts {
-                    let _ = guard.put(*cell, fresh);
-                }
-            }
-
-            st = lock(&inner.state);
-            let mut coalesced = 0u64;
-            journal_done.clear();
-            for (item, to) in batch.iter().zip(slots) {
-                match &to {
-                    // The cache put above deleted any failure record.
-                    Slot::Done { .. } => {
-                        st.cell_failures.remove(&item.cell);
-                    }
-                    // Poisonings and timeouts count toward quarantine.
-                    Slot::Failed { kind, error, .. } if *kind != "spec" => {
-                        Self::record_failure(&mut st, inner, item.cell, error);
-                    }
-                    _ => {}
-                }
-                // Fan-out waiters share the leader's slot (an output
-                // counts as cached for them) and go first, then the
-                // leader: the event and journal order is pinned.
-                for (job, slot) in waiters.remove(&item.cell).unwrap_or_default() {
-                    let shared = match &to {
-                        Slot::Done { output, digest, .. } => {
-                            coalesced += 1;
-                            Slot::Done {
-                                output: output.clone(),
-                                digest: *digest,
-                                cached: true,
-                                attempts: 0,
-                            }
-                        }
-                        failed => failed.clone(),
-                    };
-                    journal_done.extend(st.finish(job, slot, shared));
-                }
-                journal_done.extend(st.finish(item.job, item.slot, to));
-            }
-            Self::journal_done(inner, &st, &journal_done);
+            hold.finish(st, job, slot, to);
+        } else if let Some(waiters) = st.inflight.get_mut(&cell) {
+            // Same cell already running: share the leader's output
+            // instead of re-running it.
+            waiters.push((job, slot));
+            st.jobs[job].slots[slot] = Slot::Running;
+        } else if let Some((output, digest)) = inner.cache.as_ref().and_then(|c| lock(c).get(cell))
+        {
+            hold.cached += 1;
+            let to = Slot::Done {
+                output,
+                digest,
+                cached: true,
+                attempts: 0,
+            };
+            hold.finish(st, job, slot, to);
+        } else if let Some((output, digest)) = st.memo(cell) {
+            // A previous job already computed this cell and the disk
+            // cache no longer has it (cacheless server or evicted
+            // entry): subscribe to that result instead of re-simulating.
+            hold.memoized += 1;
+            let to = Slot::Done {
+                output,
+                digest,
+                cached: true,
+                attempts: 0,
+            };
+            hold.finish(st, job, slot, to);
+        } else {
+            let entry = &mut st.jobs[job];
+            entry.slots[slot] = Slot::Running;
+            let trial = &entry.trials[slot];
+            let queued_us = entry.submitted.elapsed().as_micros() as u64;
+            let tenant = entry.tenant.clone();
+            let key = trial.key.clone();
+            run = Some(Dispatched {
+                job,
+                slot,
+                ring,
+                cell,
+                experiment: trial.experiment.clone(),
+                variant: trial.variant.clone(),
+                seed: trial.seed,
+                scale: entry.spec.scale,
+            });
+            st.inflight.insert(cell, Vec::new());
+            *st.tenant_inflight.entry(ring).or_insert(0) += 1;
             if let Some(hub) = &inner.config.hub {
-                hub.update(|m| {
-                    m.inc("service.trials.executed", executed as u64);
-                    m.inc("service.trials.coalesced", coalesced);
-                    m.inc("service.trials.poisoned", poisoned);
-                    m.inc("service.trials.timed_out", timed_out);
-                });
+                hub.observe(
+                    &format!("service.tenant.{tenant}.queue_latency_us"),
+                    queued_us,
+                );
+            }
+            if st.dispatch_log.len() < DISPATCH_LOG_CAP {
+                st.dispatch_log.push((tenant, key));
             }
         }
+        st.settle(ring);
+        // This tenant consumed the turn either way; the next trial goes
+        // to the tenant after it.
+        st.rr = (ring + 1) % st.ring_of.len();
+        Some(run)
+    }
 
-        // Completion bookkeeping: count each job's terminal transition
-        // exactly once (a job with any failed trial counts as failed).
+    /// Makes a run trial terminal in one lock hold: its fresh output
+    /// goes to the cache first, so its `done` record points at a stored
+    /// entry; then the cell's waiters share its slot (an output counts
+    /// as cached for them) and then the trial's own slot is set, the
+    /// event and journal order being pinned; then the records are
+    /// journaled.
+    fn complete(inner: &Inner, trial: &Dispatched, outcome: &TaskOutcome<TaskValue>) {
+        let mut hold = Hold {
+            executed: 1,
+            ..Hold::default()
+        };
+        let mut fresh = None;
+        let to = match outcome {
+            TaskOutcome::Done {
+                value: Ok(output),
+                attempts,
+            } => {
+                let digested = DigestedOutput::new(output.clone());
+                let to = Slot::Done {
+                    output: output.clone(),
+                    digest: digested.digest(),
+                    cached: false,
+                    attempts: *attempts,
+                };
+                fresh = Some(digested);
+                to
+            }
+            TaskOutcome::Done {
+                value: Err(error), ..
+            } => Slot::Failed {
+                kind: "spec",
+                error: error.clone(),
+                attempts: 1,
+            },
+            TaskOutcome::Poisoned { error, attempts } => {
+                hold.poisoned += 1;
+                Slot::Failed {
+                    kind: "poisoned",
+                    error: error.clone(),
+                    attempts: *attempts,
+                }
+            }
+            TaskOutcome::TimedOut { error, attempts } => {
+                hold.timed_out += 1;
+                Slot::Failed {
+                    kind: "timed-out",
+                    error: error.clone(),
+                    attempts: *attempts,
+                }
+            }
+        };
+        let mut st = lock(&inner.state);
+        if let (Some(cache), Some(fresh)) = (&inner.cache, &fresh) {
+            let _ = lock(cache).put(trial.cell, fresh);
+        }
+        match &to {
+            // The cache put above deleted any failure record.
+            Slot::Done { .. } => {
+                st.cell_failures.remove(&trial.cell);
+            }
+            // Poisonings and timeouts count toward quarantine.
+            Slot::Failed { kind, error, .. } if *kind != "spec" => {
+                Self::record_failure(&mut st, inner, trial.cell, error);
+            }
+            _ => {}
+        }
+        if let Some(n) = st.tenant_inflight.get_mut(&trial.ring) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                st.tenant_inflight.remove(&trial.ring);
+            }
+        }
+        for (job, slot) in st.inflight.remove(&trial.cell).unwrap_or_default() {
+            let shared = match &to {
+                Slot::Done { output, digest, .. } => {
+                    hold.coalesced += 1;
+                    Slot::Done {
+                        output: output.clone(),
+                        digest: *digest,
+                        cached: true,
+                        attempts: 0,
+                    }
+                }
+                failed => failed.clone(),
+            };
+            hold.finish(&mut st, job, slot, shared);
+        }
+        hold.finish(&mut st, trial.job, trial.slot, to);
+        Self::release(inner, &mut st, hold);
+        drop(st);
+        inner.done.notify_all();
+        // The freed worker may let a capped tenant dispatch.
+        if inner.config.max_tenant_inflight > 0 {
+            inner.wake.notify_all();
+        }
+    }
+
+    /// Ends a lock hold of the scheduler. Appends the hold's `done`
+    /// records while the state is still held, which keeps
+    /// the documented lock order (state → journal) and means the
+    /// records are on file before any reader can see those slots
+    /// (best-effort: a failed append costs a re-run after restart,
+    /// which the cache then absorbs, never correctness). Then counts
+    /// each job's completion exactly once (a job with any failed trial
+    /// counts as failed) and publishes the counters. Returns whether a
+    /// slot or job finished, so the caller wakes `wait`ers once it has
+    /// dropped the lock.
+    fn release(inner: &Inner, st: &mut SchedulerState, hold: Hold) -> bool {
+        if let (Some(journal), false) = (&inner.journal, hold.journal.is_empty()) {
+            let _ = lock(journal).append_all(&hold.journal);
+        }
         let mut completed_jobs = 0u64;
         let mut failed_jobs = 0u64;
-        {
-            let st = &mut *st;
-            st.uncounted.retain(|&i| {
-                let entry = &st.jobs[i];
-                if !entry.finished() {
-                    return true;
-                }
-                if entry.slots.iter().any(|s| matches!(s, Slot::Failed { .. })) {
-                    failed_jobs += 1;
-                } else {
-                    completed_jobs += 1;
-                }
-                false
-            });
-        }
-        drop(st);
+        let jobs = &st.jobs;
+        st.uncounted.retain(|&i| {
+            let entry = &jobs[i];
+            if !entry.finished() {
+                return true;
+            }
+            if entry.slots.iter().any(|s| matches!(s, Slot::Failed { .. })) {
+                failed_jobs += 1;
+            } else {
+                completed_jobs += 1;
+            }
+            false
+        });
         let finished_jobs = completed_jobs + failed_jobs > 0;
         if let Some(hub) = &inner.config.hub {
             hub.update(|m| {
@@ -1361,22 +1421,25 @@ impl Inner {
                     m.inc("service.jobs.completed", completed_jobs);
                     m.inc("service.jobs.failed", failed_jobs);
                 }
-                m.inc("service.trials.cached", cache_hits);
-                m.inc("service.trials.memoized", memo_hits);
-                m.inc("service.trials.quarantined", quarantine_drops);
+                if hold.executed > 0 {
+                    m.inc("service.trials.executed", hold.executed);
+                    m.inc("service.trials.coalesced", hold.coalesced);
+                    m.inc("service.trials.poisoned", hold.poisoned);
+                    m.inc("service.trials.timed_out", hold.timed_out);
+                }
+                m.inc("service.trials.cached", hold.cached);
+                m.inc("service.trials.memoized", hold.memoized);
+                m.inc("service.trials.quarantined", hold.quarantined);
             });
         }
         Self::publish_cache_stats(inner);
-        if resolved > 0 || finished_jobs {
-            inner.done.notify_all();
-        }
-        resolved + executed
+        hold.finished > 0 || finished_jobs
     }
 
     /// Counts one more consecutive failure of `cell`, remembers
     /// `error`, persists both beside the cell's cache entry, and
     /// quarantines the cell at the configured threshold.
-    fn record_failure(st: &mut SchedulerState, inner: &Arc<Inner>, cell: u64, error: &str) {
+    fn record_failure(st: &mut SchedulerState, inner: &Inner, cell: u64, error: &str) {
         let record = st
             .cell_failures
             .entry(cell)

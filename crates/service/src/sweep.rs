@@ -1,14 +1,15 @@
 //! The sweep: one spec run to completion on the service scheduler, in
 //! process.
 //!
-//! [`run_sweep`] is a thin client of [`Service`]: no worker thread and
-//! no [`TcpFront`](crate::TcpFront). It renders the spec as the text
-//! [`SweepSpec::parse`] reads, submits it under one tenant, drives
-//! [`Service::tick`]'s pass until nothing is left to schedule, and
-//! reads the job's slots back into a [`SweepReport`] in enumeration
-//! order — which is what makes the aggregates and the aggregate digest
-//! byte-identical at every worker count. Retries, the deadline, the
-//! backoff and quarantine are the scheduler's own.
+//! [`run_sweep`] is a thin client of [`Service`]: no background thread
+//! and no [`TcpFront`](crate::TcpFront). It renders the spec as the
+//! text [`SweepSpec::parse`] reads, submits it under one tenant, runs
+//! the scheduler's workers until nothing is left to schedule, each
+//! taking the next trial as it frees, and reads the job's slots back
+//! into a [`SweepReport`] in enumeration order — which is what makes
+//! the aggregates and the aggregate digest byte-identical at every
+//! worker count. Retries, the deadline, the backoff and quarantine are
+//! the scheduler's own.
 //!
 //! Checkpoint/resume is the service's journal plus its result cache,
 //! both kept in [`SweepOptions::state_dir`]:
@@ -26,19 +27,18 @@
 
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use unxpec_harness::spec::SpecError;
 use unxpec_harness::{
-    aggregate, aggregate_digest, submission_digest, FailedTrial, PoolStats, QuarantinedTrial,
-    Registry, SelfProfiler, SweepOptions, SweepReport, SweepSpec, TaskEvent, TaskOutcome,
-    TaskTiming, Trial, TrialResult,
+    aggregate, aggregate_digest, submission_digest, FailedTrial, QuarantinedTrial, Registry,
+    SelfProfiler, SweepOptions, SweepReport, SweepSpec, TaskEvent, TaskOutcome, Trial, TrialResult,
 };
 use unxpec_telemetry::{json::escape, MetricsHub, Span};
 
 use crate::cache::CacheConfig;
 use crate::error::ServiceError;
-use crate::server::{lock, BatchItem, BatchObserver, Service, ServiceConfig, Slot, TaskValue};
+use crate::server::{lock, Dispatched, Service, ServiceConfig, Slot, TaskValue, TrialObserver};
 
 /// The tenant every sweep job runs under.
 const SWEEP_TENANT: &str = "sweep";
@@ -135,24 +135,24 @@ pub fn run_sweep(
         .self_profile_ms
         .map(|ms| SelfProfiler::start(opts.jobs.max(1), Duration::from_millis(ms.max(1))));
     let progress = Progress {
+        service: &service,
         job,
         trials: &trials,
         live,
         profiler: profiler.as_ref(),
-        epoch: Instant::now(),
-        recorded: Mutex::new((Vec::new(), PoolStats::default())),
+        spans: Mutex::new(Vec::new()),
     };
-    // Every other job is finished or cancelled, so the passes schedule
-    // only this job's cells and stop when none is left.
-    while service.tick_observed(&progress) > 0 {
-        if let Some(hub) = live {
-            publish_progress(&service, job, hub);
-        }
+    // Every other job is finished or cancelled, so the workers run only
+    // this job's cells and stop when none is left.
+    let stats = service.run_pending(&progress);
+    if let Some(hub) = live {
+        publish_progress(&service, job, hub);
     }
-    let (spans, stats) = progress
-        .recorded
+    let mut spans = progress
+        .spans
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
+    spans.sort_by_key(|s| s.start_us);
     let self_profile = profiler.map(SelfProfiler::stop);
 
     let outcome = service.with_state(|st| {
@@ -318,8 +318,8 @@ impl Outcome {
     }
 }
 
-/// Sets the progress series read off the job's slots after each
-/// scheduling pass: finished, resumed and quarantined trials.
+/// Sets the progress series read off the job's slots: finished,
+/// resumed and quarantined trials.
 fn publish_progress(service: &Service, job: usize, hub: &MetricsHub) {
     let (done, resumed, quarantined) = service.with_state(|st| {
         st.jobs[job]
@@ -342,44 +342,46 @@ fn publish_progress(service: &Service, job: usize, hub: &MetricsHub) {
     });
 }
 
-/// The sweep's [`BatchObserver`]: live progress and the self-profiler
-/// from the pool's events, spans and summed pool counters from each
-/// batch.
+/// The sweep's [`TrialObserver`]: the self-profiler, live progress and
+/// one span per run trial, from each trial's events.
 struct Progress<'a> {
+    service: &'a Service,
     /// The sweep job's index in the job table.
     job: usize,
     trials: &'a [Trial],
     live: Option<&'a MetricsHub>,
     profiler: Option<&'a SelfProfiler>,
-    /// Span time zero.
-    epoch: Instant,
-    recorded: Mutex<(Vec<Span>, PoolStats)>,
+    spans: Mutex<Vec<Span>>,
 }
 
-impl Progress<'_> {
-    fn trial(&self, item: &BatchItem) -> Option<&Trial> {
-        self.trials.get(item.slot).filter(|_| item.job == self.job)
-    }
-}
-
-impl BatchObserver for Progress<'_> {
-    fn event(&self, batch: &[BatchItem], event: &TaskEvent<'_, TaskValue>) {
+impl TrialObserver for Progress<'_> {
+    fn event(&self, run: &Dispatched, event: &TaskEvent<'_, TaskValue>) {
+        let Some(trial) = self.trials.get(run.slot).filter(|_| run.job == self.job) else {
+            return;
+        };
         match event {
-            TaskEvent::Started { index, worker } => {
-                if let (Some(p), Some(trial)) = (self.profiler, self.trial(&batch[*index])) {
+            TaskEvent::Started { worker, .. } => {
+                if let Some(p) = self.profiler {
                     p.worker_started(*worker, &trial.key);
                 }
             }
             TaskEvent::Finished {
-                index,
                 worker,
                 outcome,
                 timing,
+                ..
             } => {
                 if let Some(p) = self.profiler {
                     p.worker_finished(*worker);
                 }
-                let (Some(hub), Some(trial)) = (self.live, self.trial(&batch[*index])) else {
+                lock(&self.spans).push(Span {
+                    name: trial.key.clone(),
+                    track: *worker as u64,
+                    start_us: timing.start_us,
+                    dur_us: timing.dur_us,
+                    args: vec![("attempts".to_string(), u64::from(timing.attempts))],
+                });
+                let Some(hub) = self.live else {
                     return;
                 };
                 hub.update(|m| {
@@ -400,41 +402,9 @@ impl BatchObserver for Progress<'_> {
                         timing.dur_us,
                     );
                 });
+                publish_progress(self.service, self.job, hub);
             }
         }
-    }
-
-    fn batch(
-        &self,
-        batch: &[BatchItem],
-        started: Instant,
-        timings: &[TaskTiming],
-        stats: &PoolStats,
-    ) {
-        let offset_us = started.saturating_duration_since(self.epoch).as_micros() as u64;
-        let mut recorded = lock(&self.recorded);
-        let (spans, total) = &mut *recorded;
-        for t in timings {
-            let Some(trial) = self.trial(&batch[t.index]) else {
-                continue;
-            };
-            spans.push(Span {
-                name: trial.key.clone(),
-                track: t.worker as u64,
-                start_us: offset_us + t.start_us,
-                dur_us: t.dur_us,
-                args: vec![("attempts".to_string(), u64::from(t.attempts))],
-            });
-        }
-        total.jobs = total.jobs.max(stats.jobs);
-        total.executed += stats.executed;
-        total.stolen += stats.stolen;
-        total.retried += stats.retried;
-        total.panicked += stats.panicked;
-        total.timed_out += stats.timed_out;
-        total.max_queue_depth = total.max_queue_depth.max(stats.max_queue_depth);
-        total.busy_us += stats.busy_us;
-        total.wall_us += stats.wall_us;
     }
 }
 

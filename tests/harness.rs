@@ -5,7 +5,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use unxpec_harness::{FnExperiment, Registry, SweepOptions, SweepSpec, TrialOutput};
 use unxpec_service::{
@@ -101,6 +102,53 @@ fn sweep_aggregate_digest_is_pinned_at_every_job_count() {
             "aggregate digest moved at --jobs {jobs}"
         );
     }
+}
+
+/// A worker that frees takes the next trial at once. Trial 0 blocks
+/// until every other trial has finished, which at `--jobs 2` happens
+/// only if the other worker keeps refilling while trial 0 runs, so the
+/// gate's timeout is a hang guard, not a threshold.
+#[test]
+fn a_slow_trial_does_not_hold_back_the_other_worker() {
+    const TRIALS: u64 = 6;
+    let mut spec = SweepSpec::quick();
+    spec.experiments = vec!["gate".into()];
+    spec.seeds = TRIALS;
+    let first = unxpec::experiments::seeding::indexed(spec.root_seed, "gate/default", 0);
+    let others_done = Arc::new((Mutex::new(0u64), Condvar::new()));
+    let mut registry = Registry::new();
+    registry.register(FnExperiment::new("gate", &["default"], move |ctx| {
+        let (count, finished) = &*others_done;
+        let mut done = count.lock().unwrap();
+        if ctx.seed != first {
+            *done += 1;
+            finished.notify_all();
+            return TrialOutput::new("other".into(), vec![]);
+        }
+        let (done, wait) = finished
+            .wait_timeout_while(done, Duration::from_secs(10), |n| *n < TRIALS - 1)
+            .unwrap();
+        drop(done);
+        let timed_out = if wait.timed_out() { 1.0 } else { 0.0 };
+        TrialOutput::new("gate".into(), vec![("timed_out", timed_out)])
+    }));
+    let report = run_sweep(
+        &spec,
+        registry,
+        &SweepOptions {
+            jobs: 2,
+            ..SweepOptions::default()
+        },
+    )
+    .expect("sweep");
+    assert_eq!(report.results.len() as u64, TRIALS);
+    let gate = &report.results[0];
+    assert_eq!(gate.trial.seed_index, 0);
+    assert_eq!(
+        gate.output.metrics,
+        vec![("timed_out".to_string(), 0.0)],
+        "trial 0 waited out its gate: the other worker stopped taking trials"
+    );
 }
 
 fn counting_registry(runs: Arc<AtomicUsize>) -> Registry {
