@@ -32,9 +32,7 @@ use std::collections::{BTreeMap, VecDeque};
 use unxpec_cpu::{Cond, Inst, Operand, PcIndex, Program};
 
 use crate::cfg::Cfg;
-use crate::taint::{
-    transfer, transmitter_chain, AbsState, AnalysisConfig, SecretRegion, TaintResult,
-};
+use crate::taint::{transmitter_chain, AbsState, AnalysisConfig, SecretRegion, TaintResult};
 use crate::window::{SpecKind, SpecWindow};
 
 /// The branch-predicate fact a misprediction implies about the
@@ -231,11 +229,10 @@ fn enumerate_pair(
             complete: true,
         };
     };
-    let source_inst = program.fetch(window.spec_pc);
     // The source's own architectural side effect (a `ret` pops the
     // stack pointer) applies before any wrong-path instruction runs.
-    let after_source = match source_inst {
-        Some(inst) => transfer(entry, window.spec_pc, inst, secrets, config),
+    let after_source = match program.fetch(window.spec_pc) {
+        Some(inst) => entry.step(window.spec_pc, inst, secrets, config),
         None => entry.clone(),
     };
 
@@ -313,7 +310,7 @@ fn enumerate_pair(
             // Fall through: keep exploring beyond the target so
             // loop-back paths (and demotion completeness) are covered.
         }
-        let out = transfer(&state, pc, inst, secrets, config);
+        let out = state.step(pc, inst, secrets, config);
         let depth = path.len();
         // Best-first: try the successor closest to the target first so
         // confirming paths surface before the budget bites.

@@ -7,7 +7,14 @@
 //! * a **taint chain** — `None`, or the PCs through which a
 //!   secret-derived value flowed into the register.
 //!
-//! Taint is seeded by loads whose abstract address set intersects a
+//! The transfer function is [`unxpec_cpu::arch::step`], the
+//! simulator's own architectural semantics, stepped in `TaintDomain`,
+//! its abstract value domain. `step` fixes which registers each
+//! instruction reads and writes; the domain says what an immediate, an
+//! ALU op, address arithmetic, a load and a store do to a fact. Like
+//! the simulator, a load reads the word its address falls in (`& !7`).
+//!
+//! Taint is seeded by loads whose abstract word address set intersects a
 //! secret-labeled region (the `SECRET` array of
 //! `unxpec_attack::AttackLayout`, or any region the caller labels), and
 //! propagates through ALU results, address computation, and
@@ -30,6 +37,7 @@
 
 use std::collections::BTreeSet;
 
+use unxpec_cpu::arch::{self, ArchDomain};
 use unxpec_cpu::{AluOp, Cond, Inst, Operand, PcIndex, Program, NUM_REGS};
 use unxpec_mem::MemoryLayout;
 
@@ -213,10 +221,18 @@ struct RegFact {
     taint: Option<Vec<PcIndex>>,
 }
 
+impl RegFact {
+    /// Statically unknown and clean.
+    const UNKNOWN: RegFact = RegFact {
+        val: AbsValue::Top,
+        taint: None,
+    };
+}
+
 /// Abstract machine state: one fact per architectural register.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsState {
-    regs: Vec<RegFact>,
+    regs: [RegFact; NUM_REGS],
 }
 
 impl AbsState {
@@ -224,13 +240,7 @@ impl AbsState {
     /// persistent across runs, so entry values are not assumed zero).
     fn entry() -> AbsState {
         AbsState {
-            regs: vec![
-                RegFact {
-                    val: AbsValue::Top,
-                    taint: None,
-                };
-                NUM_REGS
-            ],
+            regs: [RegFact::UNKNOWN; NUM_REGS],
         }
     }
 
@@ -242,6 +252,22 @@ impl AbsState {
     /// The taint chain of register `r`, if tainted.
     pub fn taint(&self, r: usize) -> Option<&[PcIndex]> {
         self.regs[r].taint.as_deref()
+    }
+
+    /// The state after `inst` commits at `pc`: one [`arch::step`] in
+    /// the taint domain, seeding from `secrets`. `ReadTime` yields an
+    /// unknown, clean value.
+    pub(crate) fn step(
+        &self,
+        pc: PcIndex,
+        inst: Inst,
+        secrets: &[SecretRegion],
+        config: &AnalysisConfig,
+    ) -> AbsState {
+        let mut out = self.clone();
+        let mut domain = TaintDomain { secrets, config };
+        arch::step(inst, pc, &mut out.regs, &mut domain, RegFact::UNKNOWN);
+        out
     }
 
     /// Joins `other` into `self`; reports whether anything widened.
@@ -311,20 +337,6 @@ impl AbsState {
     }
 }
 
-fn operand_value(state: &AbsState, op: Operand) -> AbsValue {
-    match op {
-        Operand::Reg(r) => state.regs[r.index()].val.clone(),
-        Operand::Imm(i) => AbsValue::singleton(i),
-    }
-}
-
-fn operand_taint(state: &AbsState, op: Operand) -> Option<Vec<PcIndex>> {
-    match op {
-        Operand::Reg(r) => state.regs[r.index()].taint.clone(),
-        Operand::Imm(_) => None,
-    }
-}
-
 fn merge_taint(
     a: Option<Vec<PcIndex>>,
     b: Option<Vec<PcIndex>>,
@@ -342,89 +354,78 @@ fn merge_taint(
     Some(chain)
 }
 
-/// Applies `inst` at `pc` to `state`, seeding taint from `secrets`.
-pub(crate) fn transfer(
-    state: &AbsState,
-    pc: PcIndex,
-    inst: Inst,
-    secrets: &[SecretRegion],
-    config: &AnalysisConfig,
-) -> AbsState {
-    let cap = config.const_cap;
-    let mut out = state.clone();
-    match inst {
-        Inst::MovImm { dst, imm } => {
-            out.regs[dst.index()] = RegFact {
-                val: AbsValue::singleton(imm),
-                taint: None,
-            };
+/// Taint's instance of [`arch::step`]: a register holds a [`RegFact`],
+/// memory is not tracked (stores are no-ops, loads yield `Top`), and a
+/// load is seeded when its word may lie in one of `secrets`.
+struct TaintDomain<'a> {
+    secrets: &'a [SecretRegion],
+    config: &'a AnalysisConfig,
+}
+
+impl ArchDomain for TaintDomain<'_> {
+    type Value = RegFact;
+
+    fn imm(&self, imm: u64) -> RegFact {
+        RegFact {
+            val: AbsValue::singleton(imm),
+            taint: None,
         }
-        Inst::Alu { op, dst, a, b } => {
-            let av = &state.regs[a.index()].val;
-            let bv = operand_value(state, b);
-            let taint = merge_taint(
-                state.regs[a.index()].taint.clone(),
-                operand_taint(state, b),
-                pc,
-                config.chain_cap,
-            );
-            let val = if op == AluOp::And {
-                av.and(&bv, cap)
-            } else {
-                av.combine(&bv, cap, |x, y| op.apply(x, y))
-            };
-            out.regs[dst.index()] = RegFact { val, taint };
-        }
-        Inst::Load { dst, base, offset } => {
-            let addr = state.regs[base.index()]
-                .val
-                .map(|b| b.wrapping_add(offset as u64));
-            let seeded = match &addr {
-                AbsValue::Consts(set) => set
-                    .iter()
-                    .any(|&a| secrets.iter().any(|r| r.contains_word(a))),
-                // A Top address may alias the secret region (see
-                // module docs), so it seeds too.
-                AbsValue::Top => !secrets.is_empty(),
-            };
-            let inherited = state.regs[base.index()].taint.clone();
-            let taint = if seeded {
-                merge_taint(inherited, Some(Vec::new()), pc, config.chain_cap)
-            } else {
-                inherited.map(|mut c| {
-                    if c.len() < config.chain_cap && c.last() != Some(&pc) {
-                        c.push(pc);
-                    }
-                    c
-                })
-            };
-            out.regs[dst.index()] = RegFact {
-                val: AbsValue::Top,
-                taint,
-            };
-        }
-        Inst::ReadTime { dst } => {
-            out.regs[dst.index()] = RegFact {
-                val: AbsValue::Top,
-                taint: None,
-            };
-        }
-        Inst::Call { sp, .. } => {
-            out.regs[sp.index()].val = state.regs[sp.index()].val.map(|v| v.wrapping_sub(8));
-        }
-        Inst::Ret { sp } => {
-            out.regs[sp.index()].val = state.regs[sp.index()].val.map(|v| v.wrapping_add(8));
-        }
-        Inst::Store { .. }
-        | Inst::Flush { .. }
-        | Inst::Fence
-        | Inst::Branch { .. }
-        | Inst::Jump { .. }
-        | Inst::JumpInd { .. }
-        | Inst::Nop
-        | Inst::Halt => {}
     }
-    out
+
+    /// The op over every pair of constants (`And` enumerates the submasks
+    /// of a `Top` operand), tainted through `pc` by a tainted operand.
+    fn alu(&self, op: AluOp, a: &RegFact, b: &RegFact, pc: PcIndex) -> RegFact {
+        let cap = self.config.const_cap;
+        let val = if op == AluOp::And {
+            a.val.and(&b.val, cap)
+        } else {
+            a.val.combine(&b.val, cap, |x, y| op.apply(x, y))
+        };
+        let taint = merge_taint(a.taint.clone(), b.taint.clone(), pc, self.config.chain_cap);
+        RegFact { val, taint }
+    }
+
+    /// Address arithmetic moves the constants and keeps the chain: a
+    /// tainted base taints the load through the load's own PC.
+    fn offset(&self, base: &RegFact, disp: i64) -> RegFact {
+        RegFact {
+            val: base.val.map(|v| v.wrapping_add(disp as u64)),
+            taint: base.taint.clone(),
+        }
+    }
+
+    /// `Top`, tainted through `pc` by a tainted address or by a word
+    /// that may lie in a secret region (a `Top` address may).
+    fn load(&mut self, addr: &RegFact, pc: PcIndex) -> RegFact {
+        let seeded = match addr.val.map(|a| a & !7) {
+            AbsValue::Consts(words) => words
+                .iter()
+                .any(|&w| self.secrets.iter().any(|r| r.contains_word(w))),
+            AbsValue::Top => !self.secrets.is_empty(),
+        };
+        let taint = merge_taint(
+            addr.taint.clone(),
+            seeded.then(Vec::new),
+            pc,
+            self.config.chain_cap,
+        );
+        RegFact {
+            val: AbsValue::Top,
+            taint,
+        }
+    }
+
+    fn store(&mut self, _addr: &RegFact, _value: &RegFact) {}
+
+    /// Taint takes its successors from the CFG, never from
+    /// [`arch::Flow`], so the flow answers are placeholders.
+    fn holds(&self, _cond: Cond, _a: &RegFact, _b: &RegFact) -> bool {
+        false
+    }
+
+    fn target(&self, _value: &RegFact) -> PcIndex {
+        0
+    }
 }
 
 /// Whether `inst` at `pc`, executed in `state`, is a transmitter: a
@@ -441,15 +442,10 @@ pub(crate) fn transmitter_chain(
         return None;
     };
     let fact = &state.regs[base.index()];
-    if fact.taint.is_some() && fact.val.as_singleton().is_none() {
-        let mut chain = fact.taint.clone().unwrap_or_default();
-        if chain.last() != Some(&pc) && chain.len() < chain_cap {
-            chain.push(pc);
-        }
-        Some(chain)
-    } else {
-        None
+    if fact.val.as_singleton().is_some() {
+        return None;
     }
+    merge_taint(fact.taint.clone(), None, pc, chain_cap)
 }
 
 /// A transient access whose address is secret-dependent.
@@ -518,7 +514,7 @@ pub fn taint_analysis_with(
         let Some(state) = in_states[pc].clone() else {
             continue;
         };
-        let out = transfer(&state, pc, inst, secrets, config);
+        let out = state.step(pc, inst, secrets, config);
         for &succ in cfg.successors(pc) {
             let changed = match &mut in_states[succ] {
                 Some(existing) => existing.join_from(&out, config.const_cap),

@@ -2,17 +2,18 @@
 //! to the register file, memory and control flow when it commits, with
 //! no pipeline, caches or speculation.
 //!
-//! [`step`] is the one definition the functional interpreters build
-//! on: witness extraction in `unxpec-analysis` steps programs and wrong
-//! paths through it, and the fast-forward core steps its fences, jumps
-//! and calls through it while its pre-decoded ALU µops use the same
-//! [`AluOp::apply`](crate::AluOp::apply). The timing-bound detailed
-//! core keeps its own dispatch; `tests/reference_interpreter.rs` holds
-//! the independent oracle that checks both against each other.
+//! [`step`] is the one definition, written once over a value domain
+//! ([`ArchDomain`]). Witness extraction in `unxpec-analysis` and the
+//! fast-forward core (its fences, jumps and calls; its pre-decoded ALU
+//! µops share [`AluOp::apply`]) step the concrete instance, `u64` over
+//! an [`ArchMem`]; the taint analysis steps an abstract one. The
+//! timing-bound detailed core keeps its own dispatch;
+//! `tests/reference_interpreter.rs` holds the independent oracle that
+//! checks both against each other.
 
 use unxpec_mem::{Addr, Memory};
 
-use crate::isa::{Inst, Operand, PcIndex, Reg, NUM_REGS};
+use crate::isa::{AluOp, Cond, Inst, Operand, PcIndex, NUM_REGS};
 
 /// Architectural memory as [`step`] sees it: 8-byte words at
 /// word-aligned byte addresses (callers pass addresses already masked
@@ -34,6 +35,65 @@ impl ArchMem for Memory {
     }
 }
 
+/// The value domain [`step`] computes in: what a register holds, and
+/// what each kind of operation makes of such values and of memory.
+///
+/// Every difference between the concrete and the abstract semantics
+/// lives in an instance; [`step`] itself never asks which one it runs.
+pub trait ArchDomain {
+    /// What one register holds.
+    type Value: Clone;
+
+    /// The constant `imm`.
+    fn imm(&self, imm: u64) -> Self::Value;
+    /// `op(a, b)`, computed by the ALU instruction at `pc`.
+    fn alu(&self, op: AluOp, a: &Self::Value, b: &Self::Value, pc: PcIndex) -> Self::Value;
+    /// `base + disp`, wrapping: the address arithmetic of loads, stores,
+    /// calls and returns (a `Call`/`Ret` moves the stack pointer by it).
+    fn offset(&self, base: &Self::Value, disp: i64) -> Self::Value;
+    /// The word holding byte `addr` (`addr & !7`), read at `pc`.
+    fn load(&mut self, addr: &Self::Value, pc: PcIndex) -> Self::Value;
+    /// Writes `value` to the word holding byte `addr` (`addr & !7`).
+    fn store(&mut self, addr: &Self::Value, value: &Self::Value);
+    /// Whether `cond(a, b)` holds.
+    fn holds(&self, cond: Cond, a: &Self::Value, b: &Self::Value) -> bool;
+    /// The PC that `value` names as a jump target.
+    fn target(&self, value: &Self::Value) -> PcIndex;
+}
+
+/// The concrete instance: registers hold `u64`s and memory is `M`.
+impl<M: ArchMem> ArchDomain for M {
+    type Value = u64;
+
+    fn imm(&self, imm: u64) -> u64 {
+        imm
+    }
+
+    fn alu(&self, op: AluOp, a: &u64, b: &u64, _pc: PcIndex) -> u64 {
+        op.apply(*a, *b)
+    }
+
+    fn offset(&self, base: &u64, disp: i64) -> u64 {
+        base.wrapping_add(disp as u64)
+    }
+
+    fn load(&mut self, addr: &u64, _pc: PcIndex) -> u64 {
+        self.read_u64(addr & !7)
+    }
+
+    fn store(&mut self, addr: &u64, value: &u64) {
+        self.write_u64(addr & !7, *value);
+    }
+
+    fn holds(&self, cond: Cond, a: &u64, b: &u64) -> bool {
+        cond.eval(*a, *b)
+    }
+
+    fn target(&self, value: &u64) -> PcIndex {
+        *value as PcIndex
+    }
+}
+
 /// Where control goes after a [`step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
@@ -46,56 +106,59 @@ pub enum Flow {
     Halt,
 }
 
-/// Commits `inst` at `pc` against `regs` and `mem`, returning where
+/// Commits `inst` at `pc` against `regs` and `dom`, returning where
 /// control goes next.
 ///
 /// `ReadTime` writes `now`: the caller owns the clock. Load, store,
 /// call and return addresses are masked to the containing word
-/// (`& !7`); `Flush` and `Fence` have no architectural effect.
-pub fn step(
+/// (`& !7`) by the domain; `Flush` and `Fence` have no architectural
+/// effect.
+pub fn step<D: ArchDomain>(
     inst: Inst,
     pc: PcIndex,
-    regs: &mut [u64; NUM_REGS],
-    mem: &mut impl ArchMem,
-    now: u64,
+    regs: &mut [D::Value; NUM_REGS],
+    dom: &mut D,
+    now: D::Value,
 ) -> Flow {
-    let operand = |regs: &[u64; NUM_REGS], op: Operand| match op {
-        Operand::Reg(r) => regs[r.index()],
-        Operand::Imm(i) => i,
-    };
-    let ea = |regs: &[u64; NUM_REGS], base: Reg, offset: i64| {
-        regs[base.index()].wrapping_add(offset as u64) & !7
+    let operand = |dom: &D, regs: &[D::Value; NUM_REGS], op: Operand| match op {
+        Operand::Reg(r) => regs[r.index()].clone(),
+        Operand::Imm(i) => dom.imm(i),
     };
     match inst {
-        Inst::MovImm { dst, imm } => regs[dst.index()] = imm,
+        Inst::MovImm { dst, imm } => regs[dst.index()] = dom.imm(imm),
         Inst::Alu { op, dst, a, b } => {
-            regs[dst.index()] = op.apply(regs[a.index()], operand(regs, b));
+            let b = operand(dom, regs, b);
+            regs[dst.index()] = dom.alu(op, &regs[a.index()], &b, pc);
         }
         Inst::Load { dst, base, offset } => {
-            regs[dst.index()] = mem.read_u64(ea(regs, base, offset));
+            let addr = dom.offset(&regs[base.index()], offset);
+            regs[dst.index()] = dom.load(&addr, pc);
         }
         Inst::Store { src, base, offset } => {
-            mem.write_u64(ea(regs, base, offset), regs[src.index()])
+            let addr = dom.offset(&regs[base.index()], offset);
+            dom.store(&addr, &regs[src.index()]);
         }
         Inst::ReadTime { dst } => regs[dst.index()] = now,
         Inst::Flush { .. } | Inst::Fence | Inst::Nop => {}
         Inst::Branch { cond, a, b, target } => {
-            if cond.eval(regs[a.index()], operand(regs, b)) {
+            let b = operand(dom, regs, b);
+            if dom.holds(cond, &regs[a.index()], &b) {
                 return Flow::Jump(target);
             }
         }
         Inst::Jump { target } => return Flow::Jump(target),
-        Inst::JumpInd { target } => return Flow::Jump(regs[target.index()] as PcIndex),
+        Inst::JumpInd { target } => return Flow::Jump(dom.target(&regs[target.index()])),
         Inst::Call { target, sp } => {
-            let new_sp = regs[sp.index()].wrapping_sub(8);
-            mem.write_u64(new_sp & !7, (pc + 1) as u64);
+            let new_sp = dom.offset(&regs[sp.index()], -8);
+            let ret = dom.imm((pc + 1) as u64);
+            dom.store(&new_sp, &ret);
             regs[sp.index()] = new_sp;
             return Flow::Jump(target);
         }
         Inst::Ret { sp } => {
-            let ret_pc = mem.read_u64(regs[sp.index()] & !7);
-            regs[sp.index()] = regs[sp.index()].wrapping_add(8);
-            return Flow::Jump(ret_pc as PcIndex);
+            let ret = dom.load(&regs[sp.index()], pc);
+            regs[sp.index()] = dom.offset(&regs[sp.index()], 8);
+            return Flow::Jump(dom.target(&ret));
         }
         Inst::Halt => return Flow::Halt,
     }
@@ -106,7 +169,7 @@ pub fn step(
 #[allow(clippy::disallowed_methods, clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use crate::{AluOp, Cond};
+    use crate::Reg;
 
     fn run(inst: Inst, regs: &mut [u64; NUM_REGS], mem: &mut Memory) -> Flow {
         step(inst, 10, regs, mem, 77)

@@ -236,19 +236,6 @@ impl Inst {
         )
     }
 
-    /// Whether this is a control-flow instruction.
-    pub fn is_control(self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. }
-                | Inst::Jump { .. }
-                | Inst::JumpInd { .. }
-                | Inst::Call { .. }
-                | Inst::Ret { .. }
-                | Inst::Halt
-        )
-    }
-
     /// Whether the front end opens a speculation frame at this
     /// instruction: conditional branches (the predictor), indirect jumps
     /// (the BTB), and returns (the RSB) all execute younger instructions
@@ -258,52 +245,6 @@ impl Inst {
             self,
             Inst::Branch { .. } | Inst::JumpInd { .. } | Inst::Ret { .. }
         )
-    }
-
-    /// The architectural register this instruction writes, if any.
-    ///
-    /// `Call` and `Ret` report the stack pointer they adjust; `Store`
-    /// and `Flush` write memory, not a register.
-    pub fn def_reg(self) -> Option<Reg> {
-        match self {
-            Inst::MovImm { dst, .. }
-            | Inst::Alu { dst, .. }
-            | Inst::Load { dst, .. }
-            | Inst::ReadTime { dst } => Some(dst),
-            Inst::Call { sp, .. } | Inst::Ret { sp } => Some(sp),
-            Inst::Store { .. }
-            | Inst::Flush { .. }
-            | Inst::Fence
-            | Inst::Branch { .. }
-            | Inst::Jump { .. }
-            | Inst::JumpInd { .. }
-            | Inst::Nop
-            | Inst::Halt => None,
-        }
-    }
-
-    /// The architectural registers this instruction reads, in operand
-    /// order (at most three).
-    pub fn src_regs(self) -> impl Iterator<Item = Reg> {
-        let reg_of = |op: Operand| match op {
-            Operand::Reg(r) => Some(r),
-            Operand::Imm(_) => None,
-        };
-        let srcs: [Option<Reg>; 3] = match self {
-            Inst::Alu { a, b, .. } => [Some(a), reg_of(b), None],
-            Inst::Load { base, .. } | Inst::Flush { base, .. } => [Some(base), None, None],
-            Inst::Store { src, base, .. } => [Some(src), Some(base), None],
-            Inst::Branch { a, b, .. } => [Some(a), reg_of(b), None],
-            Inst::JumpInd { target } => [Some(target), None, None],
-            Inst::Call { sp, .. } | Inst::Ret { sp } => [Some(sp), None, None],
-            Inst::MovImm { .. }
-            | Inst::Fence
-            | Inst::ReadTime { .. }
-            | Inst::Jump { .. }
-            | Inst::Nop
-            | Inst::Halt => [None, None, None],
-        };
-        srcs.into_iter().flatten()
     }
 }
 
@@ -362,44 +303,7 @@ mod tests {
             offset: 0
         }
         .is_memory());
-        assert!(!Inst::Fence.is_control());
-        assert!(Inst::Halt.is_control());
         assert!(!Inst::Nop.is_memory());
-    }
-
-    #[test]
-    fn def_and_src_regs_cover_the_dataflow() {
-        let load = Inst::Load {
-            dst: Reg(1),
-            base: Reg(2),
-            offset: 8,
-        };
-        assert_eq!(load.def_reg(), Some(Reg(1)));
-        assert_eq!(load.src_regs().collect::<Vec<_>>(), vec![Reg(2)]);
-
-        let alu = Inst::Alu {
-            op: AluOp::Add,
-            dst: Reg(3),
-            a: Reg(4),
-            b: Operand::Reg(Reg(5)),
-        };
-        assert_eq!(alu.def_reg(), Some(Reg(3)));
-        assert_eq!(alu.src_regs().collect::<Vec<_>>(), vec![Reg(4), Reg(5)]);
-
-        let store = Inst::Store {
-            src: Reg(6),
-            base: Reg(7),
-            offset: 0,
-        };
-        assert_eq!(store.def_reg(), None);
-        assert_eq!(store.src_regs().collect::<Vec<_>>(), vec![Reg(6), Reg(7)]);
-
-        let ret = Inst::Ret { sp: Reg(30) };
-        assert_eq!(ret.def_reg(), Some(Reg(30)));
-        assert_eq!(ret.src_regs().collect::<Vec<_>>(), vec![Reg(30)]);
-
-        assert_eq!(Inst::Fence.def_reg(), None);
-        assert_eq!(Inst::Fence.src_regs().count(), 0);
     }
 
     #[test]

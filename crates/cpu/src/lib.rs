@@ -9,7 +9,8 @@
 //!
 //! [`arch::step`] is the micro-ISA's one architectural semantics, the
 //! one the functional interpreters outside the detailed core (witness
-//! extraction, the fast-forward core's fallback) step through.
+//! extraction, the fast-forward core's fallback) step through, and, in
+//! an abstract value domain ([`ArchDomain`]), the static taint analysis.
 //!
 //! Safe-speculation defenses plug in through the [`Defense`] trait; the
 //! baseline [`UnsafeBaseline`] leaves transient cache footprints in place
@@ -42,7 +43,7 @@ mod stats;
 mod trace;
 
 pub use crate::core::{Core, ExecMode, RunResult};
-pub use arch::{ArchMem, Flow};
+pub use arch::{ArchDomain, ArchMem, Flow};
 pub use asm::{parse_asm, ParseAsmError};
 pub use config::CoreConfig;
 pub use defense::{Defense, FillPolicy, SquashInfo, UnsafeBaseline};

@@ -548,6 +548,12 @@ mod tests {
     }
 
     #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("plain.path"), "plain.path");
+    }
+
+    #[test]
     fn escape_round_trips_through_parse() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1} é 日本";
         let doc = format!("{{\"k\": \"{}\"}}", escape(nasty));

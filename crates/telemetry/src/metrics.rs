@@ -10,6 +10,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::escape;
+
 /// Power-of-two-bucketed histogram for cycle-scale values.
 ///
 /// Bucket `0` holds the value `0`; bucket `i >= 1` holds values in
@@ -242,7 +244,7 @@ impl MetricsRegistry {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    \"{}\": {}", escape_json(k), v));
+            out.push_str(&format!("\n    \"{}\": {}", escape(k), v));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         first = true;
@@ -253,7 +255,7 @@ impl MetricsRegistry {
             first = false;
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean_milli\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                escape_json(k),
+                escape(k),
                 h.count(),
                 h.sum(),
                 h.min().unwrap_or(0),
@@ -368,24 +370,6 @@ pub fn split_csv_record(record: &str) -> Vec<String> {
     fields
 }
 
-/// Escapes the characters JSON strings cannot contain bare. Metric
-/// names are dotted identifiers, so this is usually the identity.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,12 +460,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("plain.path"), "plain.path");
     }
 
     #[test]

@@ -11,19 +11,28 @@
 //! * **Window soundness** — a property test: every instruction the
 //!   traced core executes on a wrong path must lie inside some
 //!   statically computed speculative window.
+//! * **Abstract ⊒ concrete** — a property test: at every PC a concrete
+//!   `arch::step` run visits, the taint fixpoint's in-state holds the
+//!   concrete register values and load addresses, and seeds every load
+//!   of a secret word.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use unxpec::analysis::{
-    analyze, document, speculative_windows, Cfg, Channel, DefenseModel, ProgramAnalysis,
-    SecretRegion, Verdict,
+    analyze, document, speculative_windows, taint_analysis, AbsValue, Cfg, Channel, DefenseModel,
+    ProgramAnalysis, SecretRegion, Verdict,
 };
 use unxpec::attack::benign_registry;
 use unxpec::attack::probe_latency;
 use unxpec::attack::registry::{registry, ProgramSpec, TriggerKind};
-use unxpec::cpu::{Cond, Core, CoreConfig, Defense, Program, ProgramBuilder, Reg, UnsafeBaseline};
+use unxpec::cpu::arch::{self, Flow};
+use unxpec::cpu::{
+    AluOp, Cond, Core, CoreConfig, Defense, Inst, Operand, Program, ProgramBuilder, Reg,
+    UnsafeBaseline, NUM_REGS,
+};
 use unxpec::defense::{CleanupSpec, ConstantTimeRollback};
+use unxpec::mem::Memory;
 
 /// Cycles below which a probe load counts as an L1/L2 hit.
 const HIT_THRESHOLD: u64 = 60;
@@ -440,6 +449,148 @@ fn build_random_program(ops: &[(u8, u8, u8, u64)]) -> Program {
     b.label(&format!("L{n}"));
     b.halt();
     b.build()
+}
+
+// ---------------------------------------------------------------------
+// Abstract ⊒ concrete property test
+// ---------------------------------------------------------------------
+
+/// `r20` holds this base; loads and stores through it cover the bytes
+/// around the secret word range `[0x5000, 0x5040)`.
+const DATA_BASE: u64 = 0x4fc0;
+
+/// `r30`, the stack pointer: far from the data region, so no store
+/// clobbers a return address.
+const STACK_TOP: u64 = 0x1_0000;
+
+const ALU_OPS: [AluOp; 8] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::Mul,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Shl,
+    AluOp::Shr,
+];
+
+/// Appends one raw op tuple: a `mov`, an ALU op on registers or an
+/// immediate, a load through `r20` or through a computed address, a
+/// store through `r20`, or (`in_sub` picks) a `call` or an early `ret`.
+fn emit_op(b: &mut ProgramBuilder, (kind, r1, r2, sel, imm): (u8, u8, u8, u8, u64), in_sub: bool) {
+    let dst = Reg(1 + r1 % 8);
+    let src = Reg(1 + r2 % 8);
+    // Small values and masks (so `And` of an unknown value enumerates
+    // its submasks), data-region addresses, or anything.
+    let value = match sel % 3 {
+        0 => imm % 16,
+        1 => DATA_BASE + imm % 0x100,
+        _ => imm,
+    };
+    // Misaligned displacements included: -16..200 bytes.
+    let disp = (imm % 216) as i64 - 16;
+    let op = ALU_OPS[usize::from(sel) % ALU_OPS.len()];
+    match kind % 7 {
+        0 => b.mov(dst, value),
+        1 => b.push(Inst::Alu {
+            op,
+            dst,
+            a: src,
+            b: Operand::Reg(Reg(1 + (sel >> 3) % 8)),
+        }),
+        2 => b.push(Inst::Alu {
+            op,
+            dst,
+            a: src,
+            b: Operand::Imm(value),
+        }),
+        3 => b.load(dst, Reg(20), disp),
+        4 => b.load(dst, src, disp % 16),
+        5 => b.store(src, Reg(20), disp),
+        _ if in_sub => b.ret(Reg(30)),
+        _ => b.call("sub", Reg(30)),
+    };
+}
+
+/// A main body ending in `halt` whose calls go to one subroutine, and
+/// that subroutine, ending in `ret`: every run terminates, and every
+/// return lands on a call's return site.
+fn build_call_program(main: &[(u8, u8, u8, u8, u64)], sub: &[(u8, u8, u8, u8, u64)]) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.mov(Reg(20), DATA_BASE);
+    b.mov(Reg(30), STACK_TOP);
+    for &op in main {
+        emit_op(&mut b, op, false);
+    }
+    b.halt();
+    b.label("sub");
+    for &op in sub {
+        emit_op(&mut b, op, true);
+    }
+    b.ret(Reg(30));
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Taint steps `arch::step` in its abstract domain, so its fixpoint
+    /// must over-approximate every concrete run: at each visited PC a
+    /// register the in-state pins to a constant set holds one of them,
+    /// a load's concrete word address lies in its abstract address set
+    /// (or that set is `Top`), and a load of a secret word is seeded.
+    #[test]
+    fn abstract_state_covers_every_concrete_step(
+        main in proptest::collection::vec(
+            (0u8..255, 0u8..255, 0u8..255, 0u8..255, 0u64..1_000_000),
+            1..30,
+        ),
+        sub in proptest::collection::vec(
+            (0u8..255, 0u8..255, 0u8..255, 0u8..255, 0u64..1_000_000),
+            0..10,
+        ),
+    ) {
+        let program = build_call_program(&main, &sub);
+        let secret = SecretRegion {
+            name: "SECRET".into(),
+            base: 0x5000,
+            len_bytes: 64,
+        };
+        let taint = taint_analysis(&program, &Cfg::build(&program), std::slice::from_ref(&secret));
+        let mut regs = [0u64; NUM_REGS];
+        let mut mem = Memory::new();
+        let mut pc = 0;
+        for _ in 0..10_000 {
+            let inst = program.fetch(pc).expect("pc in bounds");
+            let state = taint.state_at(pc).expect("a visited pc is reachable");
+            for (r, &v) in regs.iter().enumerate() {
+                if let AbsValue::Consts(set) = state.value(r) {
+                    prop_assert!(set.contains(&v), "pc {pc} ({inst}): r{r} = {v:#x} not in {set:x?}");
+                }
+            }
+            if let Inst::Load { dst, base, offset } = inst {
+                let word = regs[base.index()].wrapping_add(offset as u64) & !7;
+                if let AbsValue::Consts(bases) = state.value(base.index()) {
+                    prop_assert!(
+                        bases.iter().any(|b| b.wrapping_add(offset as u64) & !7 == word),
+                        "pc {pc} ({inst}): word {word:#x} outside the abstract addresses"
+                    );
+                }
+                if secret.contains_word(word) {
+                    let after = taint.state_at(pc + 1).expect("a load falls through");
+                    prop_assert!(
+                        after.taint(dst.index()).is_some(),
+                        "pc {pc} ({inst}): load of secret word {word:#x} not seeded"
+                    );
+                }
+            }
+            match arch::step(inst, pc, &mut regs, &mut mem, 0) {
+                Flow::Next => pc += 1,
+                Flow::Jump(target) => pc = target,
+                Flow::Halt => break,
+            }
+        }
+    }
 }
 
 proptest! {

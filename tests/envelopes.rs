@@ -49,6 +49,7 @@ fn every_envelope_names_tests_that_exist() {
             "parallel ≡ serial",
             "cache hit ≡ cold run",
             "resumed ≡ uninterrupted",
+            "abstract ⊒ concrete",
         ]
     );
     for (envelope, tests) in &rows {
