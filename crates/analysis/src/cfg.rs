@@ -103,25 +103,6 @@ impl Cfg {
     pub fn is_empty(&self) -> bool {
         self.succs.is_empty()
     }
-
-    /// PCs reachable from `entry` over successor edges, `entry`
-    /// included.
-    pub fn reachable_from(&self, entry: PcIndex) -> Vec<PcIndex> {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![entry];
-        while let Some(pc) = stack.pop() {
-            if pc >= self.len() || seen[pc] {
-                continue;
-            }
-            seen[pc] = true;
-            stack.extend(self.successors(pc).iter().copied());
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(pc, _)| pc)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +168,6 @@ mod tests {
         b.label("end");
         b.halt(); // 2
         let cfg = Cfg::build(&b.build());
-        assert_eq!(cfg.reachable_from(0), vec![0, 2]);
+        assert_eq!(cfg.successors(0), &[2]);
     }
 }

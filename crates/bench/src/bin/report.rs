@@ -20,11 +20,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use unxpec::analysis::{analyze, DefenseModel, SecretRegion, Verdict};
+use unxpec::analysis::{analyze, defense_for, DefenseModel, SecretRegion, Verdict};
 use unxpec::attack::registry::{registry, ProgramSpec, TriggerKind};
 use unxpec::attack::{SpectreRsb, SpectreV2};
-use unxpec::cpu::{Core, CoreConfig, Defense, ProgramBuilder, Reg, UnsafeBaseline};
-use unxpec::defense::CleanupSpec;
+use unxpec::cpu::{Core, CoreConfig, ProgramBuilder, Reg};
 use unxpec::telemetry::{fold_episodes, render_digest, trace_verdict, Event, Telemetry};
 
 /// Ring capacity: must hold both instrumented rounds of the busiest
@@ -120,14 +119,6 @@ fn main() {
     if disagreements > 0 {
         eprintln!("{disagreements} (program, defense) pair(s) disagree with the static analyzer");
         std::process::exit(1);
-    }
-}
-
-fn defense_for(model: DefenseModel) -> Box<dyn Defense> {
-    match model {
-        DefenseModel::Unsafe => Box::new(UnsafeBaseline),
-        DefenseModel::CleanupSpec => Box::new(CleanupSpec::new()),
-        other => unreachable!("report only drives unsafe/cleanupspec, got {other:?}"),
     }
 }
 

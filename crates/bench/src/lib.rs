@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use unxpec::experiments::{
-    ablations, defense_costs, overhead, resolution, robustness, scorecard, secret_pattern, table1,
-    timeline, trace, votes, workload_profile, Figures, Scale,
+    ablations, overhead, resolution, robustness, scorecard, secret_pattern, table1, timeline,
+    trace, votes, workload_profile, Figures, Scale,
 };
 
 /// Runs `f`, appending `name`'s banner, the rendered output and the
@@ -203,8 +203,8 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
             let r = timed_to(out, "Fig. 12 — constant-time rollback overhead", || {
                 figs.fig12()
             });
-            write_csv(opts, out, "fig12", r.to_csv())?;
-            write_svg(opts, out, "fig12", overhead::to_svg(r))?;
+            write_csv(opts, out, "fig12", r.0.to_csv())?;
+            write_svg(opts, out, "fig12", overhead::to_svg(&r))?;
         }
         "fig13" => {
             let r = timed_to(
@@ -255,9 +255,9 @@ pub fn run_one(name: &str, opts: &Options, out: &mut String) -> Result<(), Strin
         }
         "defense-costs" => {
             let r = timed_to(out, "Extension — defense landscape costs", || {
-                defense_costs::run(scale.workload_warmup, scale.workload_measure)
+                figs.defense_costs()
             });
-            write_csv(opts, out, "defense_costs", r.to_csv())?;
+            write_csv(opts, out, "defense_costs", r.0.to_csv())?;
         }
         "votes" => {
             let r = timed_to(out, "Extension — accuracy vs samples per bit", || {

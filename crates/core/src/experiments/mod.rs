@@ -16,7 +16,8 @@
 //! | Fig. 10 (secret leakage, no ES) | [`leakage::run`] |
 //! | Fig. 11 (secret leakage, with ES) | [`leakage::run`] |
 //! | §VI-B (leakage rate) | [`rate::run`] |
-//! | Fig. 12 (constant-time-rollback overhead) | [`overhead::run`] |
+//! | Fig. 12 (constant-time-rollback overhead) | [`Figures::fig12`] |
+//! | §I / §II-B (the defense landscape's cost) | [`Figures::defense_costs`] |
 //! | Fig. 13 (branch resolution on a real CPU) | [`resolution::run_host_like`] |
 //!
 //! Beyond the paper, [`ablations`] quantifies the design choices the
@@ -31,7 +32,8 @@
 //!
 //! [`Figures`] computes, once per scale and root seed, the figure
 //! results that the `experiments` sections print and the [`scorecard`]
-//! checks.
+//! checks, and runs each (suite kernel, defense) cell that Fig. 12 and
+//! the defense landscape read.
 
 pub mod ablations;
 pub mod chaos;

@@ -168,7 +168,7 @@ pub fn run(figures: &Figures) -> Scorecard {
         &mut checks,
         "Fig.12: average slowdown at const=25",
         "22.4%",
-        fig12.average_overhead(2) * 100.0,
+        fig12.0.average_overhead(2) * 100.0,
         "%",
         12.0..=35.0,
     );
@@ -176,7 +176,7 @@ pub fn run(figures: &Figures) -> Scorecard {
         &mut checks,
         "Fig.12: average slowdown at const=65",
         "72.8%",
-        fig12.average_overhead(6) * 100.0,
+        fig12.0.average_overhead(6) * 100.0,
         "%",
         45.0..=95.0,
     );
@@ -184,7 +184,7 @@ pub fn run(figures: &Figures) -> Scorecard {
         &mut checks,
         "Fig.12: CleanupSpec without constant",
         "~5%",
-        fig12.average_overhead(1) * 100.0,
+        fig12.0.average_overhead(1) * 100.0,
         "%",
         0.0..=12.0,
     );

@@ -490,12 +490,6 @@ impl Core {
         self
     }
 
-    /// Disables the sanitizer.
-    pub fn clear_sanitizer(&mut self) -> &mut Self {
-        self.sanitizer = None;
-        self
-    }
-
     /// The sanitizer state, if enabled.
     pub fn sanitizer(&self) -> Option<&Sanitizer> {
         self.sanitizer.as_deref()

@@ -92,16 +92,6 @@ impl RunStats {
         }
     }
 
-    /// Squashes per kilo-cycle (the driver of constant-time-rollback
-    /// overhead in Fig. 12).
-    pub fn squashes_per_kcycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 * 1000.0 / self.cycles as f64
-        }
-    }
-
     /// Registers the run's counters under the `core.` namespace and its
     /// per-squash intervals as `squash.*` histograms.
     pub fn record_metrics(&self, reg: &mut unxpec_telemetry::MetricsRegistry) {
@@ -227,7 +217,6 @@ mod tests {
         };
         assert!((s.ipc() - 0.5).abs() < 1e-12);
         assert!((s.mispredict_rate() - 0.1).abs() < 1e-12);
-        assert!((s.squashes_per_kcycle() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl ExecTrace {
         self.events.iter().filter(|e| e.inst.is_memory())
     }
 
-    /// Execution count per static PC, ascending by PC — how often each
-    /// instruction ran, wrong-path executions included (re-executions of
-    /// a PC inside a speculation loop show up as counts > 1).
-    pub fn per_pc_histogram(&self) -> Vec<(PcIndex, u64)> {
-        let mut counts: std::collections::BTreeMap<PcIndex, u64> = Default::default();
-        for e in &self.events {
-            *counts.entry(e.pc).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
     /// Hand-rolled JSON dump:
     /// `{"events": [{"seq": .., "pc": .., "inst": "..", "dispatch_cycle":
     /// .., "complete_cycle": .., "wrong_path": bool}, ...]}`.
@@ -204,16 +193,6 @@ mod tests {
             .map(|e| e.seq)
             .collect();
         assert_eq!(wrong_mem, vec![1]);
-    }
-
-    #[test]
-    fn per_pc_histogram_counts_reexecutions() {
-        let mut trace = mixed_trace();
-        // PC 1 executes twice (e.g. wrong path then replay).
-        trace.events.push(event(4, false, Inst::Nop));
-        trace.events[4].pc = 1;
-        let hist = trace.per_pc_histogram();
-        assert_eq!(hist, vec![(0, 1), (1, 2), (2, 1), (3, 1)]);
     }
 
     #[test]

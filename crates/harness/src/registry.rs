@@ -14,8 +14,8 @@
 //! [`Scale`]: unxpec::experiments::Scale
 
 use unxpec::experiments::{
-    ablations, chaos, defense_costs, leakage, overhead, pdf, rate, resolution, robustness,
-    rollback, secret_pattern, table1, timeline, trace, triggers, votes, workload_profile,
+    ablations, chaos, defense_costs, leakage, pdf, rate, resolution, robustness, rollback,
+    secret_pattern, table1, timeline, trace, triggers, votes, workload_profile, Figures,
 };
 
 use crate::experiment::{Experiment, FnExperiment, TrialOutput};
@@ -220,14 +220,14 @@ impl Registry {
             },
         ));
         r.register(FnExperiment::new("overhead", &["default"], |ctx| {
-            let e = overhead::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
+            let e = Figures::new(ctx.scale, ctx.seed).fig12();
             TrialOutput::new(
                 e.to_string(),
-                vec![("cleanupspec_mean_overhead", e.mean_overhead(1))],
+                vec![("cleanupspec_mean_overhead", e.0.mean_overhead(1))],
             )
         }));
         r.register(FnExperiment::new("defense-costs", &["default"], |ctx| {
-            let c = defense_costs::run(ctx.scale.workload_warmup, ctx.scale.workload_measure);
+            let c = Figures::new(ctx.scale, ctx.seed).defense_costs();
             let (cleanupspec, delay_on_miss, invisispec) = defense_costs::ordering(&c);
             TrialOutput::new(
                 c.to_string(),

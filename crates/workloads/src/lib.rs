@@ -27,6 +27,4 @@ mod kernels;
 mod runner;
 
 pub use kernels::{fast_forward_friendly_suite, spec2017_like_suite, KernelSpec, Workload};
-pub use runner::{
-    arith_mean_overhead, mean_overhead, measure_overheads, DefenseFactory, OverheadRow,
-};
+pub use runner::{arith_mean_overhead, mean_overhead, OverheadRow};

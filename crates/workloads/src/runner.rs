@@ -1,11 +1,7 @@
-//! Suite runner: per-workload cycles under a set of defense schemes.
+//! Per-workload cycles under a set of defense schemes, and their mean
+//! overheads against the baseline scheme.
 
-use unxpec_cpu::{Core, Cycle, Defense};
-
-use crate::kernels::Workload;
-
-/// A factory producing a fresh defense instance per run.
-pub type DefenseFactory<'a> = &'a dyn Fn() -> Box<dyn Defense>;
+use unxpec_cpu::Cycle;
 
 /// One workload's cycle counts across all schemes.
 #[derive(Debug, Clone)]
@@ -28,39 +24,6 @@ impl OverheadRow {
         let base = self.cycles[0].1 as f64;
         self.cycles[idx].1 as f64 / base - 1.0
     }
-}
-
-/// Runs every workload under every scheme; `schemes[0]` is the
-/// baseline the others are normalized against (the paper uses the
-/// unsafe machine).
-///
-/// Each `(workload, scheme)` pair gets a fresh Table-I machine, a table
-/// install, `warmup` committed instructions of warmup and `measure`
-/// committed instructions of measurement — the paper's `maxinst` /
-/// `startinst` methodology.
-pub fn measure_overheads(
-    suite: &[Workload],
-    schemes: &[(&str, DefenseFactory<'_>)],
-    warmup: u64,
-    measure: u64,
-) -> Vec<OverheadRow> {
-    suite
-        .iter()
-        .map(|w| {
-            let cycles = schemes
-                .iter()
-                .map(|(name, factory)| {
-                    let mut core = Core::table_i();
-                    core.set_defense(factory());
-                    (name.to_string(), w.measure(&mut core, warmup, measure))
-                })
-                .collect();
-            OverheadRow {
-                workload: w.name().to_string(),
-                cycles,
-            }
-        })
-        .collect()
 }
 
 /// Arithmetic-mean overhead of scheme `idx` across `rows` (what the
@@ -93,11 +56,13 @@ pub fn mean_overhead(rows: &[OverheadRow], idx: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::kernels::{KernelSpec, Workload};
-    use unxpec_cpu::UnsafeBaseline;
+    use unxpec_cpu::{Core, Defense, UnsafeBaseline};
     use unxpec_defense::{CleanupSpec, ConstantTimeRollback};
 
-    fn mini_suite() -> Vec<Workload> {
-        vec![Workload::new(KernelSpec {
+    /// A branchy kernel's row under `schemes`, each on a fresh Table-I
+    /// core with 20k instructions of warmup and 40k measured.
+    fn branchy_row(schemes: Vec<Box<dyn Defense>>) -> OverheadRow {
+        let w = Workload::new(KernelSpec {
             name: "branchy",
             working_set_lines: 256,
             branch_mask: 1,
@@ -108,23 +73,30 @@ mod tests {
             tail_alus: 3,
             cold_mask: 0,
             seed: 11,
-        })]
+        });
+        let cycles = schemes
+            .into_iter()
+            .map(|defense| {
+                let mut core = Core::table_i();
+                core.set_defense(defense);
+                (String::new(), w.measure(&mut core, 20_000, 40_000))
+            })
+            .collect();
+        OverheadRow {
+            workload: w.name().to_string(),
+            cycles,
+        }
     }
 
     #[test]
     fn constant_time_overhead_grows_with_the_constant() {
-        let suite = mini_suite();
-        let unsafe_f: DefenseFactory<'_> = &|| Box::new(UnsafeBaseline);
-        let c25: DefenseFactory<'_> = &|| Box::new(ConstantTimeRollback::new(25));
-        let c65: DefenseFactory<'_> = &|| Box::new(ConstantTimeRollback::new(65));
-        let rows = measure_overheads(
-            &suite,
-            &[("unsafe", unsafe_f), ("const25", c25), ("const65", c65)],
-            20_000,
-            40_000,
-        );
-        let o25 = rows[0].overhead(1);
-        let o65 = rows[0].overhead(2);
+        let row = branchy_row(vec![
+            Box::new(UnsafeBaseline),
+            Box::new(ConstantTimeRollback::new(25)),
+            Box::new(ConstantTimeRollback::new(65)),
+        ]);
+        let o25 = row.overhead(1);
+        let o65 = row.overhead(2);
         assert!(
             o25 > 0.03,
             "25-cycle constant must cost something, got {o25}"
@@ -137,16 +109,8 @@ mod tests {
 
     #[test]
     fn cleanupspec_is_cheap_without_constant() {
-        let suite = mini_suite();
-        let unsafe_f: DefenseFactory<'_> = &|| Box::new(UnsafeBaseline);
-        let cs: DefenseFactory<'_> = &|| Box::new(CleanupSpec::new());
-        let rows = measure_overheads(
-            &suite,
-            &[("unsafe", unsafe_f), ("cleanupspec", cs)],
-            20_000,
-            40_000,
-        );
-        let o = rows[0].overhead(1);
+        let row = branchy_row(vec![Box::new(UnsafeBaseline), Box::new(CleanupSpec::new())]);
+        let o = row.overhead(1);
         assert!(
             (-0.02..0.20).contains(&o),
             "CleanupSpec alone should cost little (paper: ~5%), got {o}"

@@ -2,7 +2,7 @@
 //! and lands in the loose band the paper reports.
 
 use unxpec::experiments::{
-    leakage, overhead, pdf, rate, resolution, rollback, secret_pattern, table1,
+    leakage, overhead, pdf, rate, resolution, rollback, secret_pattern, table1, Figures, Scale,
 };
 
 #[test]
@@ -68,10 +68,15 @@ fn rate_bands() {
 
 #[test]
 fn fig12_quick_band() {
-    let e = overhead::run(4_000, 12_000);
+    let scale = Scale {
+        workload_warmup: 4_000,
+        workload_measure: 12_000,
+        ..Scale::quick()
+    };
+    let e = Figures::new(scale, 1).fig12();
     let o25 = overhead::mean_overhead_for_constant(&e, 25);
     let o65 = overhead::mean_overhead_for_constant(&e, 65);
     assert!(o65 > o25, "{o25} vs {o65}");
-    assert!(e.rows.len() == 12);
+    assert!(e.0.rows.len() == 12);
     assert!(e.to_string().contains("geomean"));
 }

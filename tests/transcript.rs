@@ -1,7 +1,7 @@
 //! The quick-scale `experiments all` transcript is a golden: rendered
 //! in process, every section matches `tests/golden/experiments_quick.txt`
-//! byte for byte once the wall-time "took" lines are dropped, both
-//! serially and on a 2-worker pool.
+//! byte for byte once the wall-time "took" lines are dropped, serially,
+//! on a 2-worker pool, and rendered in reverse order.
 //!
 //! Regenerate it, after a deliberate change to what a section prints,
 //! with
@@ -82,5 +82,17 @@ fn quick_transcript_matches_the_golden_serially_and_on_a_pool() {
         &without_timings(&pooled),
         &serial,
         "2-worker quick `all` against the serial render",
+    );
+
+    // Fresh figures rendered last section first: `defense-costs` runs
+    // the suite cells it shares with `fig12` before `fig12` reads them,
+    // and `scorecard` renders before every figure section.
+    let opts = Options::new(Scale::quick(), DEFAULT_ROOT_SEED);
+    let mut reversed: Vec<String> = names.iter().rev().map(|name| render(name, &opts)).collect();
+    reversed.reverse();
+    assert_same(
+        &without_timings(&reversed.concat()),
+        &golden,
+        "quick `all` rendered in reverse against the golden",
     );
 }
